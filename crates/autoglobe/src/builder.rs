@@ -1,13 +1,10 @@
 //! One front door for every run harness.
 //!
-//! The three harnesses used to have three divergent entry points —
-//! `SupervisedRun::new(env, &sim, supervisor)`, `ChaosRun::new(env, &sim)`
-//! and `ShardedRun::new(env, &sim, supervisor, shards, jobs, chaos)` —
-//! each deriving its supervisor wiring slightly differently.
-//! [`RunBuilder`] unifies them: pick a scenario (a paper [`Scenario`] or a
-//! production-day [`ScenarioSpec`] from the catalog), layer on chaos,
-//! proactive triggering or sharding, and finish with the terminal that
-//! names the harness you want:
+//! [`RunBuilder`] is the only way to build the three harnesses
+//! ([`SupervisedRun`], [`ChaosRun`] and [`ShardedRun`]): pick a scenario
+//! (a paper [`Scenario`] or a production-day [`ScenarioSpec`] from the
+//! catalog), layer on chaos, proactive triggering or sharding, and finish
+//! with the terminal that names the harness you want:
 //!
 //! ```
 //! use autoglobe::prelude::*;
@@ -25,20 +22,17 @@
 //! assert!(metrics.total_demand > 0.0);
 //! ```
 //!
-//! Every terminal reproduces its legacy constructor bit for bit: the
-//! supervisor config defaults to the simulation's controller settings, and
-//! when [`SimConfig::execution`] is set the executor seed derives from
-//! `sim.seed` through the same SplitMix64 chain the chaos harness and the
-//! simulator use — so a migrated call site regenerates byte-identical
-//! result files.
+//! The supervisor config defaults to the simulation's controller settings
+//! and execution substrate ([`SimConfig::execution`]), with the executor
+//! seed derived from `sim.seed`, so every terminal is a pure function of
+//! its inputs.
 
-use crate::harness::{chaos_supervisor_config, ChaosRun, SupervisedRun};
+use crate::harness::{sub_seeds, ChaosRun, SupervisedRun};
 use crate::sharded::{ReplicationMode, ShardChaos, ShardedRun};
 use crate::supervisor::SupervisorConfig;
 use autoglobe_controller::ExecutorConfig;
 use autoglobe_forecast::ProactiveConfig;
-use autoglobe_monitor::SimDuration;
-use autoglobe_rng::splitmix64;
+use autoglobe_monitor::{HeartbeatConfig, SimDuration};
 use autoglobe_simulator::sap::SapEnvironment;
 use autoglobe_simulator::{
     build_environment, FailureInjection, HeartbeatDetection, ScenarioSpec, SimConfig,
@@ -196,26 +190,19 @@ impl RunBuilder {
     }
 
     /// The supervisor config a terminal uses: the explicit override, or
-    /// one derived from the simulation config exactly like the legacy
-    /// call sites did (controller settings from `sim.controller`; when an
-    /// execution substrate is configured, its seed is the first SplitMix64
-    /// draw of `sim.seed ^ 0x9E37_79B9_7F4A_7C15` — the chain the chaos
-    /// harness and the simulator share).
+    /// one derived from the simulation config — controller settings from
+    /// `sim.controller`, the execution substrate from `sim.execution`
+    /// (reliable when unset) seeded with the first of `sim.seed`'s
+    /// [`sub_seeds`].
     fn effective_supervisor(&self) -> SupervisorConfig {
         let mut config = match &self.supervisor {
             Some(config) => config.clone(),
-            None => {
-                let mut config = SupervisorConfig {
-                    controller: self.sim.controller,
-                    ..SupervisorConfig::default()
-                };
-                if let Some(execution) = &self.sim.execution {
-                    config.executor = execution.clone();
-                    let mut state = self.sim.seed ^ 0x9E37_79B9_7F4A_7C15;
-                    config.executor_seed = splitmix64(&mut state);
-                }
-                config
-            }
+            None => SupervisorConfig {
+                controller: self.sim.controller,
+                executor: self.sim.execution.clone().unwrap_or_default(),
+                executor_seed: sub_seeds(self.sim.seed).0,
+                ..SupervisorConfig::default()
+            },
         };
         if let Some(proactive) = self.proactive {
             config.proactive = Some(proactive);
@@ -251,7 +238,7 @@ impl RunBuilder {
         );
         let supervisor = self.effective_supervisor();
         let env = Self::take_env(&mut self.env, &self.spec);
-        let modulation = Some(self.spec.modulation(&env.workloads));
+        let modulation = self.spec.modulation(&env.workloads);
         SupervisedRun::assemble(env, &self.sim, supervisor, modulation)
     }
 
@@ -262,25 +249,19 @@ impl RunBuilder {
     /// not configured.
     pub fn chaos_run(mut self) -> ChaosRun {
         self.check_scenario();
-        if self.sim.heartbeats.is_none() {
-            self.sim = self.sim.with_heartbeats(HeartbeatDetection {
-                miss_threshold: 3,
-                confirm_after: 2,
-                loss_probability: 0.0,
-            });
+        let detection = *self
+            .sim
+            .heartbeats
+            .get_or_insert_with(HeartbeatDetection::default);
+        let mut supervisor = self.effective_supervisor();
+        if self.supervisor.is_none() {
+            supervisor.heartbeats = HeartbeatConfig {
+                miss_threshold: detection.miss_threshold,
+                confirm_after: detection.confirm_after,
+            };
         }
-        let supervisor = match &self.supervisor {
-            Some(_) => self.effective_supervisor(),
-            None => {
-                let (mut config, _) = chaos_supervisor_config(&self.sim);
-                if let Some(proactive) = self.proactive {
-                    config.proactive = Some(proactive);
-                }
-                config
-            }
-        };
         let env = Self::take_env(&mut self.env, &self.spec);
-        let modulation = Some(self.spec.modulation(&env.workloads));
+        let modulation = self.spec.modulation(&env.workloads);
         ChaosRun::assemble(env, &self.sim, supervisor, modulation, self.spec.schedule())
     }
 
@@ -291,7 +272,7 @@ impl RunBuilder {
         self.check_scenario();
         let supervisor = self.effective_supervisor();
         let env = Self::take_env(&mut self.env, &self.spec);
-        let modulation = Some(self.spec.modulation(&env.workloads));
+        let modulation = self.spec.modulation(&env.workloads);
         let run = ShardedRun::assemble(
             env,
             &self.sim,

@@ -1,9 +1,10 @@
 //! Driving the paper's simulated SAP workload through the [`Supervisor`].
 //!
-//! The simulator crate owns a faithful copy of the evaluation loop — but
-//! the evaluation loop an *integrator* cares about is the one behind the
-//! production API. [`SupervisedRun`] closes that gap: it advances the
-//! simulator's [`WorkloadEngine`] (daily curves, sticky sessions, the
+//! The simulator crate's `Simulation` drives the controller directly to
+//! regenerate the paper's figures — but the evaluation loop an *integrator*
+//! cares about is the one behind the production API. [`SupervisedRun`]
+//! closes that gap: it advances the simulator's [`WorkloadEngine`] (daily
+//! curves, sticky sessions, the
 //! request-flow demand model) against the Supervisor's landscape, feeds the
 //! resulting measurements through [`Supervisor::record_server`] /
 //! `record_service` / `record_instance`, lets [`Supervisor::tick`] watch →
@@ -14,7 +15,7 @@
 use crate::supervisor::{Supervisor, SupervisorConfig};
 use autoglobe_controller::{ControllerEvent, ExecutionEvent};
 use autoglobe_landscape::{InstanceId, Landscape, ServerId, ServiceId};
-use autoglobe_monitor::{HeartbeatConfig, HeartbeatEvent, SimDuration, SimTime, Subject};
+use autoglobe_monitor::{HeartbeatEvent, SimDuration, SimTime, Subject};
 use autoglobe_rng::{splitmix64, Rng};
 use autoglobe_simulator::sap::SapEnvironment;
 use autoglobe_simulator::{
@@ -22,44 +23,37 @@ use autoglobe_simulator::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Build the paper-scenario [`Metrics`] shell for a landscape.
-pub(crate) fn metrics_shell(sim: &SimConfig, landscape: &Landscape) -> Metrics {
-    Metrics {
-        scenario: Some(sim.scenario),
-        server_names: landscape
-            .server_ids()
-            .map(|id| landscape.server(id).unwrap().name.clone())
-            .collect(),
-        service_names: landscape
-            .service_ids()
-            .map(|id| landscape.service(id).unwrap().name.clone())
-            .collect(),
-        ..Metrics::default()
+/// The workload side every harness starts from: the engine over `env`'s
+/// workloads under `modulation`, the landscape it runs against, and the
+/// labelled metrics shell.
+///
+/// # Panics
+/// Panics when `sim` fails [`SimConfig::validate`].
+pub(crate) fn workload_model(
+    env: SapEnvironment,
+    sim: &SimConfig,
+    modulation: LoadModulation,
+) -> (Landscape, WorkloadEngine, Metrics) {
+    if let Err(e) = sim.validate() {
+        panic!("invalid simulation config: {e}");
     }
+    let SapEnvironment {
+        landscape,
+        workloads,
+    } = env;
+    let mut engine = WorkloadEngine::new(&landscape, workloads, sim);
+    engine.set_modulation(Some(modulation));
+    let metrics = Metrics::labelled(sim.scenario, &landscape);
+    (landscape, engine, metrics)
 }
 
-/// The supervisor configuration a chaos run derives from `sim`, plus the
-/// heartbeat-loss sub-seed — the same SplitMix64 chain as
-/// [`autoglobe_simulator::Simulation`], so the builder and the legacy
-/// constructor produce bit-identical runs.
-pub(crate) fn chaos_supervisor_config(sim: &SimConfig) -> (SupervisorConfig, u64) {
-    let detection = sim
-        .heartbeats
-        .expect("chaos harness needs heartbeat detection (SimConfig::with_heartbeats)");
-    let mut sub_seed_state = sim.seed ^ 0x9E37_79B9_7F4A_7C15;
-    let exec_seed = splitmix64(&mut sub_seed_state);
-    let chaos_seed = splitmix64(&mut sub_seed_state);
-    let config = SupervisorConfig {
-        controller: sim.controller,
-        executor: sim.execution.clone().unwrap_or_default(),
-        executor_seed: exec_seed,
-        heartbeats: HeartbeatConfig {
-            miss_threshold: detection.miss_threshold,
-            confirm_after: detection.confirm_after,
-        },
-        ..SupervisorConfig::default()
-    };
-    (config, chaos_seed)
+/// The executor and heartbeat-loss sub-seeds of a run: the first two
+/// SplitMix64 draws of `seed ^ 0x9E37_79B9_7F4A_7C15`, so enabling either
+/// stream never perturbs the workload and failure stream.
+pub(crate) fn sub_seeds(seed: u64) -> (u64, u64) {
+    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
+    let executor = splitmix64(&mut state);
+    (executor, splitmix64(&mut state))
 }
 
 /// Scheduled correlated kills resolved to ids: `(at, server, down_for)`,
@@ -100,7 +94,7 @@ pub(crate) fn resolve_schedule(
 }
 
 /// A simulation of the paper's SAP workload run through the [`Supervisor`]
-/// control plane instead of the simulator's bespoke wiring.
+/// control plane.
 pub struct SupervisedRun {
     supervisor: Supervisor,
     engine: WorkloadEngine,
@@ -113,37 +107,19 @@ pub struct SupervisedRun {
 
 impl SupervisedRun {
     /// Wire `env`'s landscape and workloads to a [`Supervisor`] built from
-    /// `supervisor` config. `sim` supplies the workload model's knobs
-    /// (scenario, duration, tick, user multiplier, seed); its controller
-    /// settings are *not* applied automatically — put them in
-    /// `supervisor.controller` if the run should use them.
+    /// `supervisor` config — the constructor behind
+    /// [`crate::RunBuilder::supervised`]. `sim` supplies the workload
+    /// model's knobs (scenario, duration, tick, user multiplier, seed).
     ///
     /// # Panics
     /// Panics when `sim` fails [`SimConfig::validate`].
-    #[deprecated(note = "use RunBuilder::new(..).supervisor(..).supervised()")]
-    pub fn new(env: SapEnvironment, sim: &SimConfig, supervisor: SupervisorConfig) -> Self {
-        Self::assemble(env, sim, supervisor, None)
-    }
-
-    /// The real constructor behind both [`SupervisedRun::new`] and
-    /// [`crate::RunBuilder::supervised`]: with `modulation: None` it is the
-    /// seed path, bit for bit.
     pub(crate) fn assemble(
         env: SapEnvironment,
         sim: &SimConfig,
         supervisor: SupervisorConfig,
-        modulation: Option<LoadModulation>,
+        modulation: LoadModulation,
     ) -> Self {
-        if let Err(e) = sim.validate() {
-            panic!("invalid simulation config: {e}");
-        }
-        let SapEnvironment {
-            landscape,
-            workloads,
-        } = env;
-        let mut engine = WorkloadEngine::new(&landscape, workloads, sim);
-        engine.set_modulation(modulation);
-        let metrics = metrics_shell(sim, &landscape);
+        let (landscape, engine, metrics) = workload_model(env, sim, modulation);
         SupervisedRun {
             supervisor: Supervisor::with_config(landscape, supervisor),
             engine,
@@ -243,22 +219,20 @@ impl SupervisedRun {
 
 /// The chaos evaluation — fallible asynchronous execution, lossy heartbeat
 /// detection, swept failure injection — run through the public
-/// [`Supervisor`] control plane instead of the simulator's bespoke wiring.
+/// [`Supervisor`] control plane. It is the repository's one chaos loop.
 ///
 /// The harness owns the ground truth (which hosts are down, which instances
 /// crashed, the repair clock) and the supervisor owns the *beliefs*: it only
 /// learns of a failure when the heartbeat detector confirms the silence.
 /// Detection latency, reconciled false suspicions, quarantine of falsely
-/// confirmed hosts, MTTR and lost work are measured exactly like the
-/// simulator's internal chaos path, so `results/chaos_recovery.csv` keeps
-/// its meaning — but every signal now flows through
+/// confirmed hosts, MTTR and lost work are measured against that ground
+/// truth (`results/chaos_recovery.csv`), while every signal flows through
 /// [`Supervisor::record_server`] / [`Supervisor::beat`] /
 /// [`Supervisor::tick`], the same API a real deployment drives.
 pub struct ChaosRun {
     supervisor: Supervisor,
     engine: WorkloadEngine,
-    /// Main stream: workload fluctuation + ground-truth failure dice, the
-    /// same draw order as the simulator's heartbeat path.
+    /// Main stream: workload fluctuation + ground-truth failure dice.
     rng: Rng,
     /// Separate stream for heartbeat-loss dice, sub-seeded from the master
     /// seed so enabling loss never perturbs the failure schedule.
@@ -292,43 +266,27 @@ pub struct ChaosRun {
 }
 
 impl ChaosRun {
-    /// Wire `env` to a [`Supervisor`] configured from `sim`: the executor
-    /// substrate from [`SimConfig::execution`] (reliable when `None`), the
-    /// suspect/confirm protocol and loss rate from [`SimConfig::heartbeats`],
-    /// failure injection from [`SimConfig::failures`]. Executor and
-    /// loss-dice seeds derive from `sim.seed` through the same SplitMix64
-    /// chain as [`autoglobe_simulator::Simulation`].
+    /// Wire `env` to a [`Supervisor`] built from `supervisor` config — the
+    /// constructor behind [`crate::RunBuilder::chaos_run`]. Failure
+    /// injection comes from [`SimConfig::failures`] and may be absent when
+    /// `schedule` carries events (a purely scheduled production-day
+    /// scenario rolls no dice); heartbeat detection
+    /// ([`SimConfig::heartbeats`]) is always required — it is how failures
+    /// get *detected*. The loss-dice seed is the second of `sim.seed`'s
+    /// [`sub_seeds`].
     ///
     /// # Panics
-    /// Panics when `sim` fails [`SimConfig::validate`], and when `sim`
-    /// enables no failure injection or no heartbeat detection — a chaos run
-    /// without chaos (or without a detector to measure) is a misconfigured
-    /// experiment, not a degenerate run.
-    #[deprecated(note = "use RunBuilder::new(..).chaos(..).chaos_run()")]
-    pub fn new(env: SapEnvironment, sim: &SimConfig) -> Self {
-        sim.failures
-            .expect("ChaosRun needs failure injection (SimConfig::with_failures)");
-        let (supervisor, _) = chaos_supervisor_config(sim);
-        Self::assemble(env, sim, supervisor, None, ScenarioSchedule::default())
-    }
-
-    /// The real constructor behind both [`ChaosRun::new`] and
-    /// [`crate::RunBuilder::chaos_run`]. Failure injection may be absent
-    /// when `schedule` carries events (a purely scheduled production-day
-    /// scenario rolls no dice); heartbeat detection is always required —
-    /// it is how scheduled kills get *detected*. With a default
-    /// `supervisor` derived by [`chaos_supervisor_config`], no modulation
-    /// and an empty schedule this is the legacy path, bit for bit.
+    /// Panics when `sim` fails [`SimConfig::validate`], when heartbeat
+    /// detection is missing, and when neither failure injection nor a
+    /// scheduled event is configured — a chaos run without chaos is a
+    /// misconfigured experiment, not a degenerate run.
     pub(crate) fn assemble(
         env: SapEnvironment,
         sim: &SimConfig,
         supervisor: SupervisorConfig,
-        modulation: Option<LoadModulation>,
+        modulation: LoadModulation,
         schedule: ScenarioSchedule,
     ) -> Self {
-        if let Err(e) = sim.validate() {
-            panic!("invalid simulation config: {e}");
-        }
         let failures = match sim.failures {
             Some(failures) => failures,
             None if !schedule.is_empty() => FailureInjection {
@@ -345,24 +303,13 @@ impl ChaosRun {
             .heartbeats
             .expect("ChaosRun needs heartbeat detection (SimConfig::with_heartbeats)");
 
-        let SapEnvironment {
-            landscape,
-            workloads,
-        } = env;
-        let mut engine = WorkloadEngine::new(&landscape, workloads, sim);
-        engine.set_modulation(modulation);
-        let metrics = metrics_shell(sim, &landscape);
+        let (landscape, engine, metrics) = workload_model(env, sim, modulation);
         let (scheduled_kills, scheduled_drains) = resolve_schedule(&schedule, &landscape);
 
-        // The chaos-dice sub-seed comes from the same chain as the executor
-        // seed inside `supervisor` — see [`chaos_supervisor_config`].
-        let mut sub_seed_state = sim.seed ^ 0x9E37_79B9_7F4A_7C15;
-        let _exec_seed = splitmix64(&mut sub_seed_state);
-        let chaos_seed = splitmix64(&mut sub_seed_state);
+        let (_, chaos_seed) = sub_seeds(sim.seed);
 
         let mut supervisor = Supervisor::with_config(landscape, supervisor);
-        // Everything present at t=0 is watched from the start, exactly like
-        // the simulator's chaos path.
+        // Everything present at t=0 is watched from the start.
         let servers: Vec<ServerId> = supervisor.landscape().server_ids().collect();
         for server in servers {
             supervisor.watch(Subject::Server(server));
@@ -531,19 +478,11 @@ impl ChaosRun {
             {
                 continue;
             }
-            self.metrics.failures += 1;
-            self.down_servers.insert(server, now);
-            let _ = self.supervisor.landscape_mut().set_available(server, false);
-            self.pending_repairs.push((now + down_for, server));
-            for instance in self.supervisor.landscape().instances_on(server) {
-                self.supervisor.unwatch(Subject::Instance(instance));
-                self.sever_sessions(instance);
-            }
+            self.kill_server(server, now, down_for);
         }
 
-        // Ground-truth failure dice — same stream and order as the
-        // simulator's chaos path: available servers ascending, then live
-        // instances ascending.
+        // Ground-truth failure dice on the main stream: available servers
+        // ascending, then live instances ascending.
         let tick_hours = self.tick.as_secs() as f64 / 3600.0;
         let servers: Vec<ServerId> = self
             .supervisor
@@ -556,17 +495,7 @@ impl ChaosRun {
                 .rng
                 .random_bool(self.failures.server_failure_per_hour * tick_hours)
             {
-                self.metrics.failures += 1;
-                self.down_servers.insert(server, now);
-                let _ = self.supervisor.landscape_mut().set_available(server, false);
-                self.pending_repairs
-                    .push((now + self.failures.repair_after, server));
-                // The host's instances die with it: sever their sessions
-                // and stop watching them individually.
-                for instance in self.supervisor.landscape().instances_on(server) {
-                    self.supervisor.unwatch(Subject::Instance(instance));
-                    self.sever_sessions(instance);
-                }
+                self.kill_server(server, now, self.failures.repair_after);
             }
         }
         let instances: Vec<InstanceId> = self
@@ -714,6 +643,20 @@ impl ChaosRun {
             .retain(|i, _| landscape.instance(*i).is_ok());
     }
 
+    /// Take a host down in the ground truth until `now + down_for`. Its
+    /// instances die with it: their sessions are severed and they stop
+    /// being watched individually — host-level detection covers them.
+    fn kill_server(&mut self, server: ServerId, now: SimTime, down_for: SimDuration) {
+        self.metrics.failures += 1;
+        self.down_servers.insert(server, now);
+        let _ = self.supervisor.landscape_mut().set_available(server, false);
+        self.pending_repairs.push((now + down_for, server));
+        for instance in self.supervisor.landscape().instances_on(server) {
+            self.supervisor.unwatch(Subject::Instance(instance));
+            self.sever_sessions(instance);
+        }
+    }
+
     /// Sever every session on a failed instance; the stranded users count
     /// as lost sessions (they must re-login once capacity recovers).
     fn sever_sessions(&mut self, instance: InstanceId) {
@@ -746,7 +689,7 @@ impl ChaosRun {
 mod tests {
     use super::*;
     use crate::builder::RunBuilder;
-    use autoglobe_simulator::{build_environment, Scenario};
+    use autoglobe_simulator::Scenario;
 
     fn config(hours: u64) -> SimConfig {
         SimConfig::paper(Scenario::ConstrainedMobility, 1.15)
@@ -839,6 +782,64 @@ mod tests {
     }
 
     #[test]
+    fn chaos_run_is_deterministic_in_every_metric() {
+        // Every stochastic layer on, at higher instance-crash and execution
+        // failure rates than `chaos_config`: two runs of the same seed must
+        // agree on every counter and series the metrics carry.
+        use autoglobe_controller::ExecutorConfig;
+        let sim = chaos_config(12)
+            .with_failures(FailureInjection {
+                instance_crash_per_hour: 0.05,
+                server_failure_per_hour: 0.01,
+                repair_after: SimDuration::from_hours(1),
+            })
+            .with_execution(ExecutorConfig {
+                min_latency: SimDuration::from_secs(30),
+                max_latency: SimDuration::from_minutes(3),
+                timeout: SimDuration::from_minutes(2),
+                failure_probability: 0.2,
+                ..ExecutorConfig::reliable()
+            });
+        let run = || {
+            RunBuilder::new(Scenario::ConstrainedMobility)
+                .sim(sim.clone())
+                .chaos_run()
+                .run()
+        };
+        let a = run();
+        let b = run();
+        assert!(a.failures > 0, "chaos must have injected failures");
+        assert!(a.exec_retries > 0, "flaky execution must have retried");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    #[test]
+    fn reliable_execution_reproduces_the_synchronous_simulation() {
+        // The supervisor's plan → dispatch → poll pipeline on a reliable
+        // executor takes exactly the actions the simulator's synchronous
+        // handle_trigger loop takes on the same workload and seed. The
+        // window stops at 8 h: at 08:44 the two loops' load views first
+        // yield a different applicability (ROADMAP, "One run loop").
+        use autoglobe_simulator::{build_environment, Simulation};
+        let sync =
+            Simulation::new(build_environment(Scenario::ConstrainedMobility), config(8)).run();
+        let supervised = RunBuilder::new(Scenario::ConstrainedMobility)
+            .sim(config(8))
+            .supervised()
+            .run();
+        assert!(!sync.actions.is_empty(), "the 8h window must act");
+        assert_eq!(sync.actions, supervised.actions);
+        assert_eq!(sync.overload_secs, supervised.overload_secs);
+        assert_eq!(
+            sync.total_demand.to_bits(),
+            supervised.total_demand.to_bits()
+        );
+        assert_eq!(supervised.exec_retries, 0);
+        assert_eq!(supervised.exec_timeouts, 0);
+        assert_eq!(supervised.exec_compensations, 0);
+    }
+
+    #[test]
     fn chaos_run_detects_and_recovers_from_injected_failures() {
         let metrics = RunBuilder::new(Scenario::ConstrainedMobility)
             .sim(chaos_config(24))
@@ -861,6 +862,185 @@ mod tests {
         assert!(metrics.repairs > 0, "downed hosts must rejoin after 1h");
     }
 
+    /// A day of crashes at the paper's 100 % load, detected through
+    /// heartbeats with the given loss rate.
+    fn crash_day(
+        scenario: Scenario,
+        hours: u64,
+        failures: FailureInjection,
+        loss: f64,
+    ) -> ChaosRun {
+        use autoglobe_simulator::HeartbeatDetection;
+        let sim = SimConfig::paper(scenario, 1.0)
+            .with_duration(SimDuration::from_hours(hours))
+            .with_failures(failures)
+            .with_heartbeats(HeartbeatDetection {
+                miss_threshold: 3,
+                confirm_after: 2,
+                loss_probability: loss,
+            });
+        RunBuilder::new(scenario).sim(sim).chaos_run()
+    }
+
+    fn crashes() -> FailureInjection {
+        FailureInjection {
+            instance_crash_per_hour: 0.05,
+            server_failure_per_hour: 0.005,
+            repair_after: SimDuration::from_hours(1),
+        }
+    }
+
+    #[test]
+    fn failures_are_injected_and_recovered() {
+        let m = crash_day(Scenario::FullMobility, 24, crashes(), 0.0).run();
+        assert!(m.failures > 0, "with these rates a day must see failures");
+        assert!(
+            m.recoveries >= m.failures / 2,
+            "most failures recover: {} of {}",
+            m.recoveries,
+            m.failures
+        );
+        assert_eq!(m.lost_instances, 0, "the SAP pool always has a spare host");
+    }
+
+    #[test]
+    fn failure_injection_is_deterministic() {
+        let run = || crash_day(Scenario::FullMobility, 12, crashes(), 0.0).run();
+        let a = run();
+        let b = run();
+        assert!(a.failures > 0, "12h at these rates must see failures");
+        assert_eq!(a.failures, b.failures);
+        assert_eq!(a.recoveries, b.recoveries);
+        assert_eq!(a.repairs, b.repairs);
+        assert_eq!(a.recovery_time_secs, b.recovery_time_secs);
+    }
+
+    #[test]
+    fn service_population_survives_a_day_of_crashes() {
+        let mut run = crash_day(Scenario::FullMobility, 24, crashes(), 0.0);
+        for _ in 0..24 * 60 {
+            run.step();
+        }
+        // Every service keeps at least its minimum instance count.
+        let landscape = run.supervisor().landscape();
+        for service in landscape.service_ids() {
+            let spec = landscape.service(service).unwrap();
+            assert!(
+                landscape.instance_count_of(service) >= spec.min_instances.max(1) as usize,
+                "{} dropped below its minimum",
+                spec.name
+            );
+        }
+    }
+
+    #[test]
+    fn static_scenario_still_restarts_crashed_instances() {
+        // Restarts bypass action constraints: even immobile services heal.
+        let m = crash_day(Scenario::Static, 24, crashes(), 0.0).run();
+        assert!(m.failures > 0);
+        assert!(m.recoveries > 0, "restarts happen despite immobility");
+    }
+
+    #[test]
+    fn heartbeat_detection_latency_is_exactly_the_detector_window() {
+        // Lossless heartbeats: no false suspicions, and every genuine
+        // failure is confirmed exactly miss_threshold + confirm_after − 1
+        // ticks after it happened (the failure tick itself is the first
+        // missed beat).
+        let m = crash_day(Scenario::FullMobility, 24, crashes(), 0.0).run();
+        assert!(m.failures > 0, "a day at these rates must see failures");
+        assert!(m.detections > 0, "heartbeats must confirm real failures");
+        assert_eq!(m.reconciliations, 0, "every suspicion is genuine");
+        // 3 + 2 misses, the first coinciding with the failure tick: 4 min.
+        assert!(
+            (m.mean_detection_latency_secs() - 240.0).abs() < 1e-9,
+            "mean detection latency {}s",
+            m.mean_detection_latency_secs()
+        );
+        assert!(m.lost_sessions > 0.0, "severed users are accounted");
+    }
+
+    #[test]
+    fn false_suspicions_are_reconciled_not_double_started() {
+        // Lossy heartbeats, *no* real failures: suspicions come and go but
+        // nothing is confirmed, nothing restarts, nothing is lost.
+        let none = FailureInjection {
+            instance_crash_per_hour: 0.0,
+            server_failure_per_hour: 0.0,
+            ..crashes()
+        };
+        let m = crash_day(Scenario::FullMobility, 12, none, 0.08).run();
+        assert!(
+            m.suspected_failures > 0,
+            "a lossy network causes suspicions"
+        );
+        assert!(m.reconciliations > 0, "resumed heartbeats reconcile them");
+        assert_eq!(m.failures, 0);
+        assert_eq!(m.detections, 0, "no false suspicion may be confirmed");
+        assert_eq!(m.lost_instances, 0);
+        assert_eq!(m.lost_sessions, 0.0);
+    }
+
+    #[test]
+    fn lossy_heartbeats_do_not_perturb_the_failure_dice() {
+        // The heartbeat-loss draws run on their own RNG stream: the same
+        // seed must produce the same ground-truth failures whether or not
+        // the monitoring network drops beats.
+        let failures = |loss: f64| {
+            crash_day(Scenario::ConstrainedMobility, 12, crashes(), loss)
+                .run()
+                .failures
+        };
+        assert_eq!(failures(0.0), failures(0.05));
+    }
+
+    #[test]
+    fn no_instance_stays_lost_while_a_feasible_host_exists() {
+        // Aggressive server failures on the full pool: instances may be
+        // lost while their only hosts are down, but every queued restart
+        // must either complete (once a host repairs) or have provably no
+        // feasible host right now.
+        let failures = FailureInjection {
+            instance_crash_per_hour: 0.02,
+            server_failure_per_hour: 0.05,
+            repair_after: SimDuration::from_hours(2),
+        };
+        let mut run = crash_day(Scenario::FullMobility, 24, failures, 0.0);
+        for _ in 0..24 * 60 {
+            run.step();
+            let landscape = run.supervisor().landscape();
+            for &(service, _, _) in &run.restart_queue {
+                assert!(
+                    landscape
+                        .server_ids()
+                        .all(|server| !landscape.can_host(service, server)),
+                    "instance stayed lost although a feasible host exists"
+                );
+            }
+        }
+        assert!(
+            run.metrics().recoveries > 0,
+            "repairs must re-enable queued restarts"
+        );
+    }
+
+    #[test]
+    fn inner_jobs_are_bit_identical_under_chaos() {
+        // The intra-run parallel phase must not change a single output bit
+        // with every stochastic layer on: failure injection, lossy
+        // heartbeats and flaky asynchronous execution.
+        let run = |inner_jobs: usize| {
+            RunBuilder::new(Scenario::ConstrainedMobility)
+                .sim(chaos_config(8))
+                .inner_jobs(inner_jobs)
+                .chaos_run()
+                .run()
+        };
+        let sequential = run(1);
+        assert!(sequential.failures > 0, "chaos must have injected failures");
+        assert_eq!(format!("{sequential:?}"), format!("{:?}", run(4)));
+    }
+
     #[test]
     fn supervised_run_acts_on_the_workload() {
         let metrics = RunBuilder::new(Scenario::ConstrainedMobility)
@@ -872,42 +1052,5 @@ mod tests {
             "the supervised controller must act on the daily ramp"
         );
         assert_eq!(metrics.proactive_triggers, 0, "reactive run has no firings");
-    }
-
-    /// The deprecated constructors are thin shims over the builder: both
-    /// entry points must produce bit-identical runs.
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_constructors_match_the_builder() {
-        let sim = config(4);
-        let sup = SupervisorConfig {
-            controller: sim.controller,
-            ..SupervisorConfig::default()
-        };
-        let legacy =
-            SupervisedRun::new(build_environment(Scenario::ConstrainedMobility), &sim, sup).run();
-        let built = RunBuilder::new(Scenario::ConstrainedMobility)
-            .hours(4)
-            .supervised()
-            .run();
-        assert_eq!(legacy.actions, built.actions);
-        assert_eq!(legacy.overload_secs, built.overload_secs);
-        assert_eq!(legacy.total_demand.to_bits(), built.total_demand.to_bits());
-
-        let chaos_sim = chaos_config(6);
-        let legacy =
-            ChaosRun::new(build_environment(Scenario::ConstrainedMobility), &chaos_sim).run();
-        let built = RunBuilder::new(Scenario::ConstrainedMobility)
-            .sim(chaos_sim)
-            .chaos_run()
-            .run();
-        assert_eq!(legacy.actions, built.actions);
-        assert_eq!(legacy.failures, built.failures);
-        assert_eq!(legacy.detections, built.detections);
-        assert_eq!(
-            legacy.lost_sessions.to_bits(),
-            built.lost_sessions.to_bits()
-        );
-        assert_eq!(legacy.total_demand.to_bits(), built.total_demand.to_bits());
     }
 }

@@ -78,7 +78,7 @@
 //! executor, no failures) produce byte-identical results because planning
 //! is deterministic over replicated state.
 
-use crate::harness::{metrics_shell, resolve_schedule};
+use crate::harness::{resolve_schedule, workload_model};
 use crate::supervisor::{PendingTrigger, RecoveryRecord, Supervisor, SupervisorConfig};
 use autoglobe_controller::{ActionRecord, ControllerEvent, ExecutionEvent, RecoveryOutcome};
 use autoglobe_landscape::{
@@ -553,7 +553,7 @@ impl ShardedControlPlane {
     }
 
     /// Mark a server (un)available on every live replica — the harness's
-    /// failure-injection hook, mirroring the simulator's oracle.
+    /// failure-injection hook.
     pub fn set_server_available(&mut self, server: ServerId, available: bool) {
         for w in self.workers.iter_mut().filter(|w| w.alive) {
             w.supervisor
@@ -1364,34 +1364,11 @@ pub struct ShardedRun {
 
 impl ShardedRun {
     /// Wire `env` to a `shards`-way control plane built from `supervisor`
-    /// config, with `jobs` capping the plane's scoped-thread fan-out.
+    /// config, with `jobs` capping the plane's scoped-thread fan-out — the
+    /// constructor behind [`crate::RunBuilder::sharded`].
     ///
     /// # Panics
     /// Panics when `sim` fails validation or `shards` is zero.
-    #[deprecated(note = "use RunBuilder::new(..).shards(n).sharded()")]
-    pub fn new(
-        env: SapEnvironment,
-        sim: &SimConfig,
-        supervisor: SupervisorConfig,
-        shards: usize,
-        jobs: usize,
-        chaos: ShardChaos,
-    ) -> Self {
-        Self::assemble(
-            env,
-            sim,
-            supervisor,
-            shards,
-            jobs,
-            chaos,
-            None,
-            ScenarioSchedule::default(),
-        )
-    }
-
-    /// The real constructor behind both [`ShardedRun::new`] and
-    /// [`crate::RunBuilder::sharded`]: with no modulation and an empty
-    /// schedule it is the seed path, bit for bit.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         env: SapEnvironment,
@@ -1400,19 +1377,10 @@ impl ShardedRun {
         shards: usize,
         jobs: usize,
         chaos: ShardChaos,
-        modulation: Option<LoadModulation>,
+        modulation: LoadModulation,
         schedule: ScenarioSchedule,
     ) -> Self {
-        if let Err(e) = sim.validate() {
-            panic!("invalid simulation config: {e}");
-        }
-        let SapEnvironment {
-            landscape,
-            workloads,
-        } = env;
-        let mut engine = WorkloadEngine::new(&landscape, workloads, sim);
-        engine.set_modulation(modulation);
-        let metrics = metrics_shell(sim, &landscape);
+        let (landscape, engine, metrics) = workload_model(env, sim, modulation);
         let (scheduled_kills, scheduled_drains) = resolve_schedule(&schedule, &landscape);
         let fail_per_tick = chaos.server_failure_per_hour * sim.tick.as_secs() as f64 / 3600.0;
         let kill_times: Vec<SimTime> = chaos
@@ -1556,19 +1524,7 @@ impl ShardedRun {
             if self.down.contains(&server) || !self.plane.landscape().is_available(server) {
                 continue;
             }
-            self.stats.failures_injected += 1;
-            self.metrics.failures += 1;
-            self.down.insert(server);
-            self.failed_at.insert(server, time);
-            self.repairs_due.push((time + down_for, server));
-            let residents = self.plane.landscape().instances_on(server);
-            for instance in residents {
-                let severed = self.engine.sever_sessions(self.plane.landscape(), instance);
-                self.stats.lost_sessions += severed;
-                self.metrics.lost_sessions += severed;
-                self.dead_instances.insert(instance);
-            }
-            self.plane.set_server_available(server, false);
+            self.fail_server(server, time, down_for);
         }
 
         // Ground-truth host failures (ascending server ids, one die each —
@@ -1580,19 +1536,7 @@ impl ShardedRun {
                     continue;
                 }
                 if self.rng.random_bool(self.fail_per_tick) {
-                    self.stats.failures_injected += 1;
-                    self.down.insert(server);
-                    self.failed_at.insert(server, time);
-                    self.repairs_due
-                        .push((time + self.chaos.repair_after, server));
-                    let residents = self.plane.landscape().instances_on(server);
-                    for instance in residents {
-                        let severed = self.engine.sever_sessions(self.plane.landscape(), instance);
-                        self.stats.lost_sessions += severed;
-                        self.metrics.lost_sessions += severed;
-                        self.dead_instances.insert(instance);
-                    }
-                    self.plane.set_server_available(server, false);
+                    self.fail_server(server, time, self.chaos.repair_after);
                 }
             }
         }
@@ -1692,6 +1636,24 @@ impl ShardedRun {
                 self.metrics.alerts += 1;
             }
         }
+    }
+
+    /// Take a host down in the ground truth until `time + down_for`: its
+    /// instances die with it (sessions severed, serving nothing) and every
+    /// replica marks it unavailable.
+    fn fail_server(&mut self, server: ServerId, time: SimTime, down_for: SimDuration) {
+        self.stats.failures_injected += 1;
+        self.metrics.failures += 1;
+        self.down.insert(server);
+        self.failed_at.insert(server, time);
+        self.repairs_due.push((time + down_for, server));
+        for instance in self.plane.landscape().instances_on(server) {
+            let severed = self.engine.sever_sessions(self.plane.landscape(), instance);
+            self.stats.lost_sessions += severed;
+            self.metrics.lost_sessions += severed;
+            self.dead_instances.insert(instance);
+        }
+        self.plane.set_server_available(server, false);
     }
 
     /// Run to completion; returns the workload metrics and the recovery
@@ -1813,6 +1775,8 @@ mod tests {
         assert_eq!(full.overload_secs, delta.overload_secs);
         assert_eq!(full.total_demand.to_bits(), delta.total_demand.to_bits());
         assert_eq!(full_stats, delta_stats);
+        assert!(full_stats.failures_injected > 0, "the dice must fail hosts");
+        assert_eq!(full.failures, full_stats.failures_injected);
     }
 
     #[test]

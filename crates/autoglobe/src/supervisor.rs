@@ -968,56 +968,31 @@ impl Supervisor {
     /// the execution substrate; returns whatever completed.
     fn dispatch_inner(&mut self, trigger: PendingTrigger, now: SimTime) -> Vec<ActionRecord> {
         let PendingTrigger { event, forecast } = trigger;
-        let mut completed = Vec::new();
-        match self.controller.mode() {
-            ExecutionMode::SemiAutomatic => {
-                // Queueing for administrator confirmation lives in the
-                // synchronous path; nothing is dispatched to the substrate.
-                let outcome = match forecast {
-                    // A forecast-driven trigger is planned against the
-                    // predicted loads — the present ones are exactly
-                    // what the forecaster says will not last.
-                    Some(predicted) => {
-                        let view = ForecastView::new(
-                            &self.loads,
-                            &self.landscape,
-                            event.subject,
-                            predicted,
-                        );
-                        self.controller
-                            .handle_trigger(&event, &mut self.landscape, &view, now)
-                    }
-                    None => self.controller.handle_trigger(
-                        &event,
-                        &mut self.landscape,
-                        &self.loads,
-                        now,
-                    ),
-                };
-                completed.extend(outcome.executed);
+        let planned = match forecast {
+            // A forecast-driven trigger is planned against the predicted
+            // loads — the present ones are exactly what the forecaster says
+            // will not last.
+            Some(predicted) => {
+                let view =
+                    ForecastView::new(&self.loads, &self.landscape, event.subject, predicted);
+                self.controller
+                    .plan_trigger(&event, &self.landscape, &view, now)
             }
-            ExecutionMode::Automatic => {
-                let planned = match forecast {
-                    Some(predicted) => {
-                        let view = ForecastView::new(
-                            &self.loads,
-                            &self.landscape,
-                            event.subject,
-                            predicted,
-                        );
-                        self.controller
-                            .plan_trigger(&event, &self.landscape, &view, now)
-                    }
-                    None => self
-                        .controller
-                        .plan_trigger(&event, &self.landscape, &self.loads, now),
-                };
-                if let Some(decided) = planned.decided {
-                    self.executor.dispatch(decided, now);
-                    completed.extend(self.settle(now));
-                }
-            }
+            None => self
+                .controller
+                .plan_trigger(&event, &self.landscape, &self.loads, now),
+        };
+        if self.controller.mode() == ExecutionMode::SemiAutomatic {
+            // Queued for administrator confirmation; nothing reaches the
+            // substrate.
+            self.controller.commit(planned, &mut self.landscape, now);
+            return Vec::new();
         }
+        let Some(decided) = planned.decided else {
+            return Vec::new();
+        };
+        self.executor.dispatch(decided, now);
+        let completed = self.settle(now);
         self.executed.extend(completed.iter().cloned());
         completed
     }

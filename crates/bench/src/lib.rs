@@ -578,10 +578,8 @@ fn chaos_point_config(scale: f64, hours: u64, seed: u64) -> SimConfig {
 /// `scale`. A pure function of its arguments — the run owns its seeded
 /// RNGs — so points may run on any thread in any order.
 ///
-/// Since the supervisor became the public face of the control plane, the
-/// sweep drives [`autoglobe::ChaosRun`] — the chaos evaluation over the beat/tick/poll
-/// API — rather than the simulator's internal chaos wiring (which remains
-/// as the simulator crate's own regression surface).
+/// The sweep drives [`autoglobe::ChaosRun`], the repository's one chaos
+/// loop: the chaos evaluation over the beat/tick/poll API.
 pub fn chaos_run(scale: f64, hours: u64, seed: u64) -> Metrics {
     RunBuilder::new(Scenario::ConstrainedMobility)
         .sim(chaos_point_config(scale, hours, seed))

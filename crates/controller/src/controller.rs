@@ -17,7 +17,7 @@ use crate::rulebase::RuleBases;
 use crate::selection::{ActionSelector, RankedAction, ServerSelector};
 use autoglobe_fuzzy::EngineConfig;
 use autoglobe_landscape::{
-    check_action, Action, ActionKind, InstanceId, Landscape, ServerId, ServiceId,
+    check_action, Action, ActionKind, InstanceId, Landscape, LandscapeError, ServerId, ServiceId,
 };
 use autoglobe_monitor::{SimDuration, SimTime, Subject, TriggerEvent, TriggerKind};
 
@@ -247,7 +247,9 @@ impl AutoGlobeController {
         &mut self.server_selector
     }
 
-    /// Handle one confirmed trigger: the complete Figure 6 flow.
+    /// Handle one confirmed trigger: the complete Figure 6 flow, as
+    /// [`AutoGlobeController::plan_trigger`] followed by
+    /// [`AutoGlobeController::commit`].
     pub fn handle_trigger(
         &mut self,
         event: &TriggerEvent,
@@ -255,72 +257,64 @@ impl AutoGlobeController {
         loads: &dyn LoadView,
         now: SimTime,
     ) -> TriggerOutcome {
-        let mut outcome = TriggerOutcome::default();
-        self.protection.expire(now);
+        let planned = self.plan_trigger(event, landscape, loads, now);
+        self.commit(planned, landscape, now)
+    }
 
-        // Protected subjects are excluded from further actions.
-        if let Some(until) = self.protection.protected_until(event.subject, now) {
-            let e = ControllerEvent::SuppressedByProtection {
-                time: now,
-                trigger: event.kind,
-                protected_until: until,
-            };
-            self.log.push(e.clone());
-            outcome.events.push(e);
+    /// Carry out a planned trigger synchronously: apply the decided action
+    /// and protect the entities involved (automatic mode), or queue it for
+    /// administrator confirmation (semi-automatic mode). The outcome's
+    /// events start with the planning events. Committing against the
+    /// landscape the plan was made on cannot fail; if the landscape changed
+    /// in between, a failed apply is logged as a rejection.
+    pub fn commit(
+        &mut self,
+        planned: PlannedTrigger,
+        landscape: &mut Landscape,
+        now: SimTime,
+    ) -> TriggerOutcome {
+        let PlannedTrigger { decided, events } = planned;
+        let mut outcome = TriggerOutcome {
+            executed: Vec::new(),
+            events,
+        };
+        let Some(decided) = decided else {
             return outcome;
-        }
-
-        // Phase 1: action selection (Figure 7) — per considered service.
-        let index = self.take_index(landscape);
-        let mut candidates = self.collect_candidates(event, landscape, loads, now, &index);
-        self.put_index(landscape, index);
-
-        // "Afterwards, the actions are sorted by their applicability in
-        // descending order. Actions whose applicability value is lower than
-        // an administrator-controlled minimum threshold are discarded."
-        candidates.retain(|c| c.applicability >= self.config.min_applicability);
-        candidates.sort_unstable_by(candidate_order);
-
-        if candidates.is_empty() {
-            // An unresolvable *overload* needs the administrator; an idle
-            // subject with nothing worth consolidating is normal operation.
-            if event.kind.is_overload() {
-                let e = ControllerEvent::AdministratorAlert {
+        };
+        let event = match self.mode {
+            ExecutionMode::SemiAutomatic => {
+                self.pending.push(PendingAction {
+                    id: self.next_pending_id,
                     time: now,
-                    trigger: event.kind,
-                    message: format!(
-                        "no action with applicability ≥ {:.0}% for {}",
-                        self.config.min_applicability * 100.0,
-                        event.subject
-                    ),
+                    trigger: decided.trigger,
+                    action: decided.action,
+                    applicability: decided.applicability,
+                    host_score: decided.host_score,
+                });
+                self.next_pending_id += 1;
+                let e = ControllerEvent::PendingConfirmation {
+                    time: now,
+                    action: decided.action,
                 };
                 self.log.push(e.clone());
-                outcome.events.push(e);
+                e
             }
-            return outcome;
-        }
-
-        // Phase 2: try candidates best-first; per candidate, try hosts
-        // best-first; first success wins.
-        for candidate in &candidates {
-            if self.try_candidate(candidate, event, landscape, loads, now, &mut outcome) {
-                return outcome;
-            }
-        }
-
-        if event.kind.is_overload() {
-            let e = ControllerEvent::AdministratorAlert {
-                time: now,
-                trigger: event.kind,
-                message: format!(
-                    "all {} candidate action(s) failed verification for {}",
-                    candidates.len(),
-                    event.subject
-                ),
-            };
-            self.log.push(e.clone());
-            outcome.events.push(e);
-        }
+            ExecutionMode::Automatic => match self.apply_action(
+                decided.action,
+                decided.trigger,
+                decided.applicability,
+                decided.host_score,
+                landscape,
+                now,
+            ) {
+                Ok(record) => {
+                    outcome.executed.push(record.clone());
+                    ControllerEvent::Executed(record)
+                }
+                Err(err) => self.reject(now, decided.action, err),
+            },
+        };
+        outcome.events.push(event);
         outcome
     }
 
@@ -330,10 +324,9 @@ impl AutoGlobeController {
     /// remaining ranked hosts as retry alternates) for an
     /// [`crate::ActionExecutor`] to carry out asynchronously.
     ///
-    /// Planning mirrors [`AutoGlobeController::handle_trigger`] exactly —
-    /// same protection handling, same candidate ordering, same constraint
-    /// verification, same log messages — so that a zero-latency, infallible
-    /// executor reproduces the synchronous path bit for bit.
+    /// [`AutoGlobeController::handle_trigger`] commits the same plan
+    /// synchronously, so a zero-latency, infallible executor reproduces the
+    /// synchronous path bit for bit.
     pub fn plan_trigger(
         &mut self,
         event: &TriggerEvent,
@@ -363,17 +356,12 @@ impl AutoGlobeController {
 
         if candidates.is_empty() {
             if event.kind.is_overload() {
-                let e = ControllerEvent::AdministratorAlert {
-                    time: now,
-                    trigger: event.kind,
-                    message: format!(
-                        "no action with applicability ≥ {:.0}% for {}",
-                        self.config.min_applicability * 100.0,
-                        event.subject
-                    ),
-                };
-                self.log.push(e.clone());
-                planned.events.push(e);
+                let message = format!(
+                    "no action with applicability ≥ {:.0}% for {}",
+                    self.config.min_applicability * 100.0,
+                    event.subject
+                );
+                planned.events.push(self.alert(now, event.kind, message));
             }
             return planned;
         }
@@ -388,22 +376,20 @@ impl AutoGlobeController {
         }
 
         if event.kind.is_overload() {
-            let e = ControllerEvent::AdministratorAlert {
-                time: now,
-                trigger: event.kind,
-                message: format!(
-                    "all {} candidate action(s) failed verification for {}",
-                    candidates.len(),
-                    event.subject
-                ),
-            };
-            self.log.push(e.clone());
-            planned.events.push(e);
+            let message = format!(
+                "all {} candidate action(s) failed verification for {}",
+                candidates.len(),
+                event.subject
+            );
+            planned.events.push(self.alert(now, event.kind, message));
         }
         planned
     }
 
-    /// Planning counterpart of `try_candidate`: verify without applying.
+    /// Phase 2 for one candidate: concretize it against each ranked host
+    /// best-first (once, for untargeted actions) and decide on the first
+    /// action that passes constraint verification. Every failed check is
+    /// logged as a rejection, wrapped like `Landscape::apply` reports it.
     fn plan_candidate(
         &mut self,
         candidate: &Candidate,
@@ -414,60 +400,32 @@ impl AutoGlobeController {
         events: &mut Vec<ControllerEvent>,
     ) -> Option<DecidedAction> {
         let service_name = landscape.service(candidate.service).ok()?.name.clone();
-
-        if candidate.kind.needs_target() {
-            let hosts = self.rank_hosts(candidate, &service_name, landscape, loads, now);
-            for (idx, &(host, score)) in hosts.iter().enumerate() {
-                let Some(action) = concretize(candidate, host) else {
-                    continue;
-                };
-                match check_action(landscape, &action) {
-                    Ok(()) => {
-                        return Some(DecidedAction {
-                            action,
-                            trigger: event.kind,
-                            applicability: candidate.applicability,
-                            host_score: Some(score),
-                            alternates: hosts[idx + 1..].to_vec(),
-                        });
-                    }
-                    Err(violation) => {
-                        // Same wrapping as `Landscape::apply` reports, so
-                        // planned and synchronous logs match byte for byte.
-                        let e = ControllerEvent::Rejected {
-                            time: now,
-                            action,
-                            reason: autoglobe_landscape::LandscapeError::from(violation)
-                                .to_string(),
-                        };
-                        self.log.push(e.clone());
-                        events.push(e);
-                    }
-                }
-            }
-            None
+        let targeted = candidate.kind.needs_target();
+        let hosts = if targeted {
+            self.rank_hosts(candidate, &service_name, landscape, loads, now)
         } else {
-            let action = concretize(candidate, ServerId::new(0))?;
+            vec![(ServerId::new(0), 0.0)]
+        };
+        for (idx, &(host, score)) in hosts.iter().enumerate() {
+            let Some(action) = concretize(candidate, host) else {
+                continue;
+            };
             match check_action(landscape, &action) {
-                Ok(()) => Some(DecidedAction {
-                    action,
-                    trigger: event.kind,
-                    applicability: candidate.applicability,
-                    host_score: None,
-                    alternates: Vec::new(),
-                }),
-                Err(violation) => {
-                    let e = ControllerEvent::Rejected {
-                        time: now,
+                Ok(()) => {
+                    return Some(DecidedAction {
                         action,
-                        reason: autoglobe_landscape::LandscapeError::from(violation).to_string(),
-                    };
-                    self.log.push(e.clone());
-                    events.push(e);
-                    None
+                        trigger: event.kind,
+                        applicability: candidate.applicability,
+                        host_score: targeted.then_some(score),
+                        alternates: hosts[idx + 1..].to_vec(),
+                    })
+                }
+                Err(violation) => {
+                    events.push(self.reject(now, action, LandscapeError::from(violation)))
                 }
             }
         }
+        None
     }
 
     /// Gather ranked candidates for the trigger, per Figure 7: a service
@@ -568,58 +526,6 @@ impl AutoGlobeController {
                 kind,
                 applicability,
             });
-        }
-    }
-
-    /// Try to execute one candidate; returns true if an action was executed
-    /// (or queued in semi-automatic mode).
-    fn try_candidate(
-        &mut self,
-        candidate: &Candidate,
-        event: &TriggerEvent,
-        landscape: &mut Landscape,
-        loads: &dyn LoadView,
-        now: SimTime,
-        outcome: &mut TriggerOutcome,
-    ) -> bool {
-        let service_name = match landscape.service(candidate.service) {
-            Ok(s) => s.name.clone(),
-            Err(_) => return false,
-        };
-
-        if candidate.kind.needs_target() {
-            // Phase 2b: server selection.
-            let hosts = self.rank_hosts(candidate, &service_name, landscape, loads, now);
-            for (host, score) in hosts {
-                let Some(action) = concretize(candidate, host) else {
-                    continue;
-                };
-                if self.execute(
-                    &action,
-                    event,
-                    candidate.applicability,
-                    Some(score),
-                    landscape,
-                    now,
-                    outcome,
-                ) {
-                    return true;
-                }
-            }
-            false
-        } else {
-            let Some(action) = concretize(candidate, ServerId::new(0)) else {
-                return false;
-            };
-            self.execute(
-                &action,
-                event,
-                candidate.applicability,
-                None,
-                landscape,
-                now,
-                outcome,
-            )
         }
     }
 
@@ -1060,77 +966,64 @@ impl AutoGlobeController {
         self.rank_hosts_scan(&candidate, &service_name, landscape, loads, now)
     }
 
-    /// Verify and execute (or queue) one concrete action.
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
+    /// Apply one decided action at `at`, protect the entities involved and
+    /// log the execution — the one commit step shared by
+    /// [`AutoGlobeController::commit`], [`AutoGlobeController::confirm_pending`]
+    /// and the executor's successful attempts. On error the landscape is
+    /// unchanged and nothing is logged.
+    pub(crate) fn apply_action(
         &mut self,
-        action: &Action,
-        event: &TriggerEvent,
+        action: Action,
+        trigger: TriggerKind,
         applicability: f64,
         host_score: Option<f64>,
         landscape: &mut Landscape,
-        now: SimTime,
-        outcome: &mut TriggerOutcome,
-    ) -> bool {
-        if self.mode == ExecutionMode::SemiAutomatic {
-            // Verify without executing, then queue.
-            if let Err(violation) = check_action(landscape, action) {
-                let e = ControllerEvent::Rejected {
-                    time: now,
-                    action: *action,
-                    reason: violation.to_string(),
-                };
-                self.log.push(e.clone());
-                outcome.events.push(e);
-                return false;
-            }
-            let pending = PendingAction {
-                id: self.next_pending_id,
-                time: now,
-                trigger: event.kind,
-                action: *action,
-                applicability,
-                host_score,
-            };
-            self.next_pending_id += 1;
-            let e = ControllerEvent::PendingConfirmation {
-                time: now,
-                action: *action,
-            };
-            self.pending.push(pending);
-            self.log.push(e.clone());
-            outcome.events.push(e);
-            return true;
-        }
+        at: SimTime,
+    ) -> Result<ActionRecord, LandscapeError> {
+        let outcome = landscape.apply(&action)?;
+        self.protect_involved(&action, landscape, at);
+        let record = ActionRecord {
+            time: at,
+            trigger,
+            action,
+            applicability,
+            host_score,
+            outcome,
+        };
+        self.log.push(ControllerEvent::Executed(record.clone()));
+        Ok(record)
+    }
 
-        match landscape.apply(action) {
-            Ok(applied) => {
-                self.protect_involved(action, landscape, now);
-                let record = ActionRecord {
-                    time: now,
-                    trigger: event.kind,
-                    action: *action,
-                    applicability,
-                    host_score,
-                    outcome: applied,
-                };
-                let e = ControllerEvent::Executed(record.clone());
-                self.log.push(e.clone());
-                outcome.events.push(e);
-                outcome.executed.push(record);
-                true
-            }
-            Err(err) => {
-                let e = ControllerEvent::Rejected {
-                    time: now,
-                    action: *action,
-                    reason: err.to_string(),
-                };
-                self.log.push(e.clone());
-                outcome.events.push(e);
-                false
-            }
-        }
+    /// Log an administrator alert and return the logged event.
+    pub(crate) fn alert(
+        &mut self,
+        time: SimTime,
+        trigger: TriggerKind,
+        message: String,
+    ) -> ControllerEvent {
+        let e = ControllerEvent::AdministratorAlert {
+            time,
+            trigger,
+            message,
+        };
+        self.log.push(e.clone());
+        e
+    }
+
+    /// Log that `action` was rejected and return the logged event.
+    pub(crate) fn reject(
+        &mut self,
+        time: SimTime,
+        action: Action,
+        reason: impl ToString,
+    ) -> ControllerEvent {
+        let e = ControllerEvent::Rejected {
+            time,
+            action,
+            reason: reason.to_string(),
+        };
+        self.log.push(e.clone());
+        e
     }
 
     /// Protect the service and servers involved in an executed action (also
@@ -1178,26 +1071,17 @@ impl AutoGlobeController {
     ) -> Option<ActionRecord> {
         let idx = self.pending.iter().position(|p| p.id == id)?;
         let pending = self.pending.remove(idx);
-        match landscape.apply(&pending.action) {
-            Ok(applied) => {
-                self.protect_involved(&pending.action, landscape, now);
-                let record = ActionRecord {
-                    time: now,
-                    trigger: pending.trigger,
-                    action: pending.action,
-                    applicability: pending.applicability,
-                    host_score: pending.host_score,
-                    outcome: applied,
-                };
-                self.log.push(ControllerEvent::Executed(record.clone()));
-                Some(record)
-            }
+        match self.apply_action(
+            pending.action,
+            pending.trigger,
+            pending.applicability,
+            pending.host_score,
+            landscape,
+            now,
+        ) {
+            Ok(record) => Some(record),
             Err(err) => {
-                self.log.push(ControllerEvent::Rejected {
-                    time: now,
-                    action: pending.action,
-                    reason: err.to_string(),
-                });
+                self.reject(now, pending.action, err);
                 None
             }
         }

@@ -453,22 +453,15 @@ impl ActionExecutor {
                                 break;
                             }
                         } else {
-                            match landscape.apply(&op.action) {
-                                Ok(applied) => {
-                                    controller.protect_involved(
-                                        &op.action,
-                                        landscape,
-                                        completes_at,
-                                    );
-                                    let record = ActionRecord {
-                                        time: completes_at,
-                                        trigger: op.trigger,
-                                        action: op.action,
-                                        applicability: op.applicability,
-                                        host_score: op.host_score,
-                                        outcome: applied,
-                                    };
-                                    controller.push_log(ControllerEvent::Executed(record.clone()));
+                            match controller.apply_action(
+                                op.action,
+                                op.trigger,
+                                op.applicability,
+                                op.host_score,
+                                landscape,
+                                completes_at,
+                            ) {
+                                Ok(record) => {
                                     events.push(ExecutionEvent::Completed { id: op.id, record });
                                     break;
                                 }
@@ -476,11 +469,7 @@ impl ActionExecutor {
                                     // The landscape changed underneath the
                                     // in-flight attempt; treat it like a
                                     // failed attempt.
-                                    controller.push_log(ControllerEvent::Rejected {
-                                        time: now,
-                                        action: op.action,
-                                        reason: err.to_string(),
-                                    });
+                                    controller.reject(now, op.action, err);
                                     if !self.retry(&mut op, now, controller, &mut events) {
                                         break;
                                     }
@@ -538,15 +527,11 @@ impl ActionExecutor {
         let (next_action, next_score) = match next_action {
             Some(n) if op.attempt < self.config.max_attempts => n,
             _ => {
-                let e = ControllerEvent::AdministratorAlert {
-                    time: now,
-                    trigger: op.trigger,
-                    message: format!(
-                        "{} abandoned after {} attempt(s); no partial effects were applied",
-                        op.action, op.attempt
-                    ),
-                };
-                controller.push_log(e);
+                let message = format!(
+                    "{} abandoned after {} attempt(s); no partial effects were applied",
+                    op.action, op.attempt
+                );
+                controller.alert(now, op.trigger, message);
                 events.push(ExecutionEvent::Abandoned {
                     id: op.id,
                     action: op.action,

@@ -94,14 +94,9 @@ impl AutoGlobeController {
                 outcome.recovered.push((crashed, new_instance, host));
             }
             None => {
-                let e = ControllerEvent::AdministratorAlert {
-                    time: now,
-                    trigger: TriggerKind::ServiceOverloaded,
-                    message: format!(
-                        "instance {crashed} of {service} lost: no feasible host for a restart"
-                    ),
-                };
-                self.push_log(e.clone());
+                let message =
+                    format!("instance {crashed} of {service} lost: no feasible host for a restart");
+                let e = self.alert(now, TriggerKind::ServiceOverloaded, message);
                 outcome.events.push(e);
                 outcome.lost.push((crashed, service));
             }

@@ -49,8 +49,8 @@ impl Default for FailureInjection {
     }
 }
 
-/// Heartbeat-based failure detection (replaces the oracle failure path when
-/// set): servers and instances emit a heartbeat every tick; `miss_threshold`
+/// Heartbeat-based failure detection, the only way a chaos run learns of a
+/// failure: servers and instances emit a heartbeat every tick; `miss_threshold`
 /// consecutive misses raise a suspicion, `confirm_after` further silent
 /// ticks confirm the failure. `loss_probability` models a lossy monitoring
 /// network — healthy entities occasionally drop a beat, producing false
@@ -124,13 +124,16 @@ pub struct SimConfig {
     /// plot the FI application servers).
     pub record_instances_of: Vec<String>,
     /// Optional failure injection (None = no failures, the paper's load
-    /// studies).
+    /// studies). Honoured by the chaos harness; [`crate::Simulation`]
+    /// refuses it.
     pub failures: Option<FailureInjection>,
     /// Optional fallible asynchronous action execution (None = the
-    /// synchronous, infallible substrate the paper's load studies assume).
+    /// reliable, instant substrate the paper's load studies assume).
+    /// Honoured by the control-plane harnesses; [`crate::Simulation`]
+    /// refuses it.
     pub execution: Option<ExecutorConfig>,
-    /// Optional heartbeat failure detection (None = the oracle failure
-    /// path: the controller is told about failures instantly).
+    /// Heartbeat failure detection for the chaos harness (which defaults
+    /// it when unset); [`crate::Simulation`] refuses it.
     pub heartbeats: Option<HeartbeatDetection>,
     /// Worker threads for the *intra-run* per-server evaluation phase
     /// (`0` = use the machine, `1` = fully sequential). Results are

@@ -3,7 +3,7 @@
 
 use crate::scenario::Scenario;
 use autoglobe_controller::ActionRecord;
-use autoglobe_landscape::{InstanceId, ServerId, ServiceId};
+use autoglobe_landscape::{InstanceId, Landscape, ServerId, ServiceId};
 use autoglobe_monitor::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -114,6 +114,24 @@ pub struct Metrics {
 }
 
 impl Metrics {
+    /// Empty metrics for a run of `scenario` on `landscape`, carrying the
+    /// id → name tables so renderers never need to rebuild the environment
+    /// to label a run's output.
+    pub fn labelled(scenario: Scenario, landscape: &Landscape) -> Self {
+        Metrics {
+            scenario: Some(scenario),
+            server_names: landscape
+                .server_ids()
+                .map(|id| landscape.server(id).unwrap().name.clone())
+                .collect(),
+            service_names: landscape
+                .service_ids()
+                .map(|id| landscape.service(id).unwrap().name.clone())
+                .collect(),
+            ..Metrics::default()
+        }
+    }
+
     /// The recorded name of a server, or `"?"` if the id is out of range
     /// (hand-assembled metrics without name tables).
     pub fn server_name(&self, id: ServerId) -> &str {
@@ -203,7 +221,7 @@ impl Metrics {
     }
 
     /// Mean time from ground-truth failure to confirmed detection, in
-    /// seconds (zero for the oracle path, where detection is instant).
+    /// seconds (zero when nothing was detected).
     pub fn mean_detection_latency_secs(&self) -> f64 {
         if self.detections == 0 {
             0.0

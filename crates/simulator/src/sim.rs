@@ -1,4 +1,4 @@
-//! The tick-driven simulation engine.
+//! The tick-driven simulation engine behind the paper's figures.
 //!
 //! Every simulated minute the engine: advances the workload curves, lets
 //! users (re-)distribute over instances, computes the resulting CPU demand
@@ -7,22 +7,24 @@
 //! and dispatches confirmed triggers to the fuzzy controller — whose actions
 //! mutate the landscape with a realistic start-up latency before new
 //! instances accept users.
+//!
+//! The simulation models the paper's ideal conditions: reliable hosts and
+//! instant, infallible execution. Failures, heartbeat detection and
+//! fallible execution are driven through the public control plane by the
+//! `autoglobe` crate's chaos harness (`RunBuilder::chaos_run`).
 
 use crate::config::SimConfig;
 use crate::engine::WorkloadEngine;
 use crate::metrics::{InstancePoint, Metrics, SeriesPoint};
 use crate::sap::SapEnvironment;
-use autoglobe_controller::{
-    ActionExecutor, AutoGlobeController, ControllerEvent, ExecutionEvent, RecoveryOutcome,
-    RuleBases,
-};
-use autoglobe_landscape::{ApplyOutcome, InstanceId, Landscape, ServerId, ServiceId};
+use autoglobe_controller::{AutoGlobeController, ControllerEvent, RuleBases};
+use autoglobe_landscape::{InstanceId, Landscape, ServiceId};
 use autoglobe_monitor::{
-    FailureEvent, FailureKind, HeartbeatConfig, HeartbeatEvent, HeartbeatMonitor, LoadArchive,
-    LoadMonitoringSystem, LoadSample, SimDuration, SimTime, Subject, SubjectConfig, TriggerEvent,
+    LoadArchive, LoadMonitoringSystem, LoadSample, SimDuration, SimTime, Subject, SubjectConfig,
+    TriggerEvent,
 };
-use autoglobe_rng::{splitmix64, Rng};
-use std::collections::{BTreeMap, BTreeSet};
+use autoglobe_rng::Rng;
+use std::collections::BTreeSet;
 
 /// A full simulation run.
 pub struct Simulation {
@@ -37,36 +39,24 @@ pub struct Simulation {
     metrics: Metrics,
     last_sample: SimTime,
     record_instances_of: Vec<ServiceId>,
-    /// Failed servers awaiting repair: `(repair time, server)`.
-    pending_repairs: Vec<(SimTime, ServerId)>,
-    /// Fallible asynchronous execution substrate (None = synchronous).
-    executor: Option<ActionExecutor>,
-    /// Heartbeat failure detector (None = the oracle failure path).
-    heartbeats: Option<HeartbeatMonitor>,
-    /// Probability per healthy entity per tick of dropping a heartbeat.
-    hb_loss: f64,
-    /// RNG for heartbeat loss — separate from the failure/workload stream
-    /// so enabling lossy heartbeats never perturbs the failure dice.
-    chaos_rng: Rng,
-    /// Ground truth the heartbeat path detects: failed servers and their
-    /// failure times (the controller only learns at confirmation).
-    down_servers: BTreeMap<ServerId, SimTime>,
-    /// Ground truth: crashed-but-unconfirmed instances and failure times.
-    crashed_instances: BTreeMap<InstanceId, SimTime>,
-    /// Lost instances awaiting a feasible host:
-    /// `(service, old instance, ground-truth failure time)`.
-    restart_queue: Vec<(ServiceId, InstanceId, SimTime)>,
 }
 
 impl Simulation {
     /// Create a simulation over an environment.
     ///
     /// # Panics
-    /// Panics when the configuration fails [`SimConfig::validate`].
+    /// Panics when the configuration fails [`SimConfig::validate`], and
+    /// when it enables failure injection, heartbeat detection or fallible
+    /// execution — those run through the chaos harness, not here.
     pub fn new(env: SapEnvironment, config: SimConfig) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid simulation config: {e}");
         }
+        assert!(
+            config.failures.is_none() && config.heartbeats.is_none() && config.execution.is_none(),
+            "Simulation runs ideal conditions; drive failures, heartbeats and \
+             fallible execution through the chaos harness (RunBuilder::chaos_run)"
+        );
         let SapEnvironment {
             landscape,
             workloads,
@@ -95,46 +85,8 @@ impl Simulation {
             .filter_map(|name| landscape.service_by_name(name).ok())
             .collect();
 
-        // Metrics carry the scenario and the id → name tables so renderers
-        // never need to rebuild the environment to label a run's output.
-        let metrics = Metrics {
-            scenario: Some(config.scenario),
-            server_names: landscape
-                .server_ids()
-                .map(|id| landscape.server(id).unwrap().name.clone())
-                .collect(),
-            service_names: landscape
-                .service_ids()
-                .map(|id| landscape.service(id).unwrap().name.clone())
-                .collect(),
-            ..Metrics::default()
-        };
-
+        let metrics = Metrics::labelled(config.scenario, &landscape);
         let seed = config.seed;
-        // Sub-seeds for the executor's and the heartbeat-loss RNG streams:
-        // derived from the master seed so the main workload/failure stream
-        // is untouched whether or not these subsystems are enabled.
-        let mut sub_seed_state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let exec_seed = splitmix64(&mut sub_seed_state);
-        let chaos_seed = splitmix64(&mut sub_seed_state);
-        let executor = config
-            .execution
-            .as_ref()
-            .map(|c| ActionExecutor::new(c.clone(), exec_seed));
-        let heartbeats = config.heartbeats.map(|h| {
-            let mut hb = HeartbeatMonitor::new(HeartbeatConfig {
-                miss_threshold: h.miss_threshold,
-                confirm_after: h.confirm_after,
-            });
-            for server in landscape.server_ids() {
-                hb.watch(Subject::Server(server));
-            }
-            for inst in landscape.instances() {
-                hb.watch(Subject::Instance(inst.id));
-            }
-            hb
-        });
-        let hb_loss = config.heartbeats.map(|h| h.loss_probability).unwrap_or(0.0);
         Simulation {
             config,
             landscape,
@@ -147,14 +99,6 @@ impl Simulation {
             metrics,
             last_sample: SimTime::ZERO,
             record_instances_of,
-            pending_repairs: Vec::new(),
-            executor,
-            heartbeats,
-            hb_loss,
-            chaos_rng: Rng::seed_from_u64(chaos_seed),
-            down_servers: BTreeMap::new(),
-            crashed_instances: BTreeMap::new(),
-            restart_queue: Vec::new(),
         }
     }
 
@@ -197,23 +141,8 @@ impl Simulation {
     pub fn step(&mut self) {
         self.time += self.config.tick;
 
-        // Ground-truth dead entities (heartbeat mode only): crashed
-        // instances and instances on down hosts serve nothing until the
-        // detector confirms the failure and the controller reacts. On the
-        // oracle path failures are handled instantly, so this set is empty
-        // and every computation below is unchanged.
-        let dead: BTreeSet<InstanceId> = if self.heartbeats.is_some() {
-            self.landscape
-                .instances()
-                .filter(|i| {
-                    self.crashed_instances.contains_key(&i.id)
-                        || self.down_servers.contains_key(&i.server)
-                })
-                .map(|i| i.id)
-                .collect()
-        } else {
-            BTreeSet::new()
-        };
+        // Hosts never fail here, so no instance is dead-but-undetected.
+        let dead: BTreeSet<InstanceId> = BTreeSet::new();
 
         // ---- 1–3. workload model: sessions, demand, per-server loads --------
         let loads = self.engine.advance(
@@ -272,16 +201,12 @@ impl Simulation {
 
         // ---- 5. monitoring → triggers ---------------------------------------
         // Batch observation straight off the arena, ascending servers then
-        // ascending services — the same subject order as ever. A down host
-        // reports no monitoring data (heartbeat mode; the map is empty
-        // otherwise).
+        // ascending services.
         let mut triggers: Vec<TriggerEvent> = Vec::new();
         let time = self.time;
-        let down_servers = &self.down_servers;
         self.monitoring.observe_servers(
             loads
                 .server_entries()
-                .filter(|(server, _, _)| !down_servers.contains_key(server))
                 .map(|(server, cpu, mem)| (server, LoadSample::new(time, cpu, mem))),
             &mut triggers,
         );
@@ -292,405 +217,27 @@ impl Simulation {
             &mut triggers,
         );
 
-        // ---- 6. failures (self-healing path) ---------------------------------
-        if self.heartbeats.is_some() {
-            self.chaos_tick();
-        } else {
-            self.inject_failures();
-        }
-        self.drain_restart_queue();
-
-        // ---- 7. controller ----------------------------------------------------
+        // ---- 6. controller ----------------------------------------------------
         if self.config.controller_enabled {
-            if self.executor.is_some() {
-                // Asynchronous path: settle earlier in-flight operations,
-                // then plan each trigger and hand the decided action to the
-                // executor. At zero latency every dispatch completes in the
-                // immediate poll, reproducing the synchronous path exactly.
-                self.poll_executor();
-                for trigger in triggers {
-                    let planned = self.controller.plan_trigger(
-                        &trigger,
-                        &self.landscape,
-                        self.engine.last_loads(),
-                        self.time,
-                    );
-                    for event in &planned.events {
-                        if matches!(event, ControllerEvent::AdministratorAlert { .. }) {
-                            self.metrics.alerts += 1;
-                        }
-                    }
-                    if let Some(decided) = planned.decided {
-                        self.executor
-                            .as_mut()
-                            .expect("checked above")
-                            .dispatch(decided, self.time);
-                        self.poll_executor();
+            for trigger in triggers {
+                let outcome = self.controller.handle_trigger(
+                    &trigger,
+                    &mut self.landscape,
+                    self.engine.last_loads(),
+                    self.time,
+                );
+                for event in &outcome.events {
+                    if matches!(event, ControllerEvent::AdministratorAlert { .. }) {
+                        self.metrics.alerts += 1;
                     }
                 }
-            } else {
-                for trigger in triggers {
-                    let outcome = self.controller.handle_trigger(
-                        &trigger,
-                        &mut self.landscape,
-                        self.engine.last_loads(),
-                        self.time,
-                    );
-                    for event in &outcome.events {
-                        if matches!(event, ControllerEvent::AdministratorAlert { .. }) {
-                            self.metrics.alerts += 1;
-                        }
-                    }
-                    for record in outcome.executed {
-                        self.apply_side_effects(&record.outcome);
-                        self.metrics.actions.push(record);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Settle in-flight executor operations and fold their events into the
-    /// metrics (an abandoned operation raised an administrator alert).
-    fn poll_executor(&mut self) {
-        let Some(executor) = self.executor.as_mut() else {
-            return;
-        };
-        let events = executor.poll(self.time, &mut self.landscape, &mut self.controller);
-        for event in events {
-            match event {
-                ExecutionEvent::Completed { record, .. } => {
-                    self.apply_side_effects(&record.outcome);
+                for record in outcome.executed {
+                    self.engine
+                        .note_action(&record.outcome, &self.landscape, self.time);
                     self.metrics.actions.push(record);
                 }
-                ExecutionEvent::Retried { .. } => self.metrics.exec_retries += 1,
-                ExecutionEvent::TimedOut { .. } => self.metrics.exec_timeouts += 1,
-                ExecutionEvent::FencedLateSuccess { .. }
-                | ExecutionEvent::FencedStaleEpoch { .. } => self.metrics.exec_fenced += 1,
-                ExecutionEvent::Abandoned { .. } => {
-                    self.metrics.exec_compensations += 1;
-                    self.metrics.alerts += 1;
-                }
             }
         }
-    }
-
-    /// Retry restarts of lost instances; entries stay queued until a
-    /// feasible host exists (e.g. their only possible host repairs).
-    fn drain_restart_queue(&mut self) {
-        if self.restart_queue.is_empty() {
-            return;
-        }
-        let mut still_lost = Vec::new();
-        for (service, old_instance, failed_at) in std::mem::take(&mut self.restart_queue) {
-            match self.controller.retry_restart(
-                service,
-                old_instance,
-                &mut self.landscape,
-                self.engine.last_loads(),
-                self.time,
-            ) {
-                Some(_) => {
-                    self.metrics.recoveries += 1;
-                    self.metrics.lost_instances -= 1;
-                    self.metrics.recovery_time_secs += self.time.since(failed_at).as_secs();
-                }
-                None => still_lost.push((service, old_instance, failed_at)),
-            }
-        }
-        self.restart_queue = still_lost;
-    }
-
-    /// Drain the repair queue: hosts whose downtime is over rejoin the
-    /// pool, logged as [`ControllerEvent::Repaired`] and counted. Returns
-    /// the repaired hosts.
-    fn drain_repairs(&mut self) -> Vec<ServerId> {
-        let now = self.time;
-        let mut repaired = Vec::new();
-        self.pending_repairs.retain(|&(at, server)| {
-            if now >= at {
-                repaired.push(server);
-                false
-            } else {
-                true
-            }
-        });
-        for &server in &repaired {
-            let _ = self.landscape.set_available(server, true);
-            self.down_servers.remove(&server);
-            self.controller.note_repaired(server, now);
-            self.metrics.repairs += 1;
-        }
-        repaired
-    }
-
-    /// Roll the failure dice, route failures through the controller's
-    /// self-healing path (the *oracle* path: the controller learns of a
-    /// failure the instant it happens), and repair hosts whose downtime is
-    /// over. Rates were validated on construction, so no clamping here.
-    fn inject_failures(&mut self) {
-        let Some(cfg) = self.config.failures else {
-            return;
-        };
-        self.drain_repairs();
-        let now = self.time;
-
-        let tick_hours = self.config.tick.as_secs() as f64 / 3600.0;
-        // Server failures.
-        let servers: Vec<ServerId> = self
-            .landscape
-            .server_ids()
-            .filter(|&s| self.landscape.is_available(s))
-            .collect();
-        for server in servers {
-            if self
-                .rng
-                .random_bool(cfg.server_failure_per_hour * tick_hours)
-            {
-                let event = FailureEvent {
-                    kind: FailureKind::ServerFailed(server),
-                    time: now,
-                };
-                let outcome = self.controller.handle_failure(
-                    &event,
-                    &mut self.landscape,
-                    self.engine.last_loads(),
-                    now,
-                );
-                self.metrics.failures += 1;
-                self.absorb_recovery(outcome, now);
-                self.pending_repairs.push((now + cfg.repair_after, server));
-            }
-        }
-        // Instance crashes.
-        let instances: Vec<InstanceId> = self.landscape.instances().map(|i| i.id).collect();
-        for instance in instances {
-            if self
-                .rng
-                .random_bool(cfg.instance_crash_per_hour * tick_hours)
-            {
-                let event = FailureEvent {
-                    kind: FailureKind::InstanceCrashed(instance),
-                    time: now,
-                };
-                let outcome = self.controller.handle_failure(
-                    &event,
-                    &mut self.landscape,
-                    self.engine.last_loads(),
-                    now,
-                );
-                self.metrics.failures += 1;
-                self.absorb_recovery(outcome, now);
-            }
-        }
-    }
-
-    /// Count a recovery outcome and queue lost instances for retry once
-    /// capacity returns. `failed_at` is the ground-truth failure time
-    /// (equal to "now" on the oracle path, earlier on the heartbeat path).
-    fn absorb_recovery(&mut self, outcome: RecoveryOutcome, failed_at: SimTime) {
-        self.metrics.recoveries += outcome.recovered.len();
-        self.metrics.recovery_time_secs +=
-            self.time.since(failed_at).as_secs() * outcome.recovered.len() as u64;
-        self.metrics.lost_instances += outcome.lost.len();
-        for (old_instance, service) in outcome.lost {
-            self.restart_queue.push((service, old_instance, failed_at));
-        }
-    }
-
-    /// The heartbeat failure path: roll the ground-truth failure dice
-    /// (severing the affected sessions), emit heartbeats for everything
-    /// still alive, advance the detector, and only on *confirmation* tell
-    /// the controller — measurable detection latency, reconciled false
-    /// suspicions, and quarantine + re-certification for falsely confirmed
-    /// hosts.
-    fn chaos_tick(&mut self) {
-        let now = self.time;
-
-        // Repairs: the host rejoins the pool and is watched again with a
-        // fresh heartbeat state.
-        for server in self.drain_repairs() {
-            if let Some(hb) = self.heartbeats.as_mut() {
-                hb.unwatch(Subject::Server(server));
-                hb.watch(Subject::Server(server));
-            }
-        }
-
-        // Watch-set resync: new instances (restarts, scale-outs) get
-        // monitored; removed instances stop being suspected. Instances on a
-        // ground-truth down host were deliberately unwatched when the host
-        // failed — the host-level detection covers them.
-        let live: BTreeSet<InstanceId> = self.landscape.instances().map(|i| i.id).collect();
-        let down = &self.down_servers;
-        let landscape = &self.landscape;
-        if let Some(hb) = self.heartbeats.as_mut() {
-            let stale: Vec<Subject> = hb
-                .watched()
-                .filter(|s| matches!(s, Subject::Instance(i) if !live.contains(i)))
-                .collect();
-            for subject in stale {
-                hb.unwatch(subject);
-            }
-            for &instance in &live {
-                let on_down_host = landscape
-                    .instance(instance)
-                    .map(|inst| down.contains_key(&inst.server))
-                    .unwrap_or(false);
-                if !on_down_host {
-                    hb.watch(Subject::Instance(instance));
-                }
-            }
-        }
-
-        // Ground-truth failure dice — same stream (self.rng) and order as
-        // the oracle path.
-        if let Some(cfg) = self.config.failures {
-            let tick_hours = self.config.tick.as_secs() as f64 / 3600.0;
-            let servers: Vec<ServerId> = self
-                .landscape
-                .server_ids()
-                .filter(|&s| self.landscape.is_available(s))
-                .collect();
-            for server in servers {
-                if self
-                    .rng
-                    .random_bool(cfg.server_failure_per_hour * tick_hours)
-                {
-                    self.metrics.failures += 1;
-                    self.down_servers.insert(server, now);
-                    let _ = self.landscape.set_available(server, false);
-                    self.pending_repairs.push((now + cfg.repair_after, server));
-                    // The host's instances die with it: sever their
-                    // sessions and stop watching them individually.
-                    for instance in self.landscape.instances_on(server) {
-                        if let Some(hb) = self.heartbeats.as_mut() {
-                            hb.unwatch(Subject::Instance(instance));
-                        }
-                        self.sever_sessions(instance);
-                    }
-                }
-            }
-            let instances: Vec<InstanceId> = self
-                .landscape
-                .instances()
-                .filter(|i| {
-                    !self.crashed_instances.contains_key(&i.id)
-                        && !self.down_servers.contains_key(&i.server)
-                })
-                .map(|i| i.id)
-                .collect();
-            for instance in instances {
-                if self
-                    .rng
-                    .random_bool(cfg.instance_crash_per_hour * tick_hours)
-                {
-                    self.metrics.failures += 1;
-                    self.crashed_instances.insert(instance, now);
-                    self.sever_sessions(instance);
-                }
-            }
-        }
-
-        // Heartbeats: everything alive beats, unless the lossy monitoring
-        // network drops the beat (separate RNG stream).
-        let Some(mut hb) = self.heartbeats.take() else {
-            return;
-        };
-        let watched: Vec<Subject> = hb.watched().collect();
-        for subject in watched {
-            let alive = match subject {
-                Subject::Server(s) => !self.down_servers.contains_key(&s),
-                Subject::Instance(i) => {
-                    !self.crashed_instances.contains_key(&i)
-                        && self
-                            .landscape
-                            .instance(i)
-                            .map(|inst| !self.down_servers.contains_key(&inst.server))
-                            .unwrap_or(false)
-                }
-                Subject::Service(_) => true,
-            };
-            if alive && !(self.hb_loss > 0.0 && self.chaos_rng.random_bool(self.hb_loss)) {
-                hb.beat(subject, now);
-            }
-        }
-
-        for event in hb.tick(now) {
-            match event {
-                HeartbeatEvent::Suspected { .. } => self.metrics.suspected_failures += 1,
-                HeartbeatEvent::Reconciled { .. } => self.metrics.reconciliations += 1,
-                HeartbeatEvent::Confirmed { subject, .. } => match subject {
-                    Subject::Server(server) => {
-                        let failed_at = self.down_servers.get(&server).copied();
-                        match failed_at {
-                            Some(failed_at) => {
-                                self.metrics.detections += 1;
-                                self.metrics.detection_latency_secs +=
-                                    now.since(failed_at).as_secs();
-                            }
-                            None => {
-                                // False positive: the (healthy) host is
-                                // quarantined and re-certified after a
-                                // repair-length check.
-                                let recheck = self
-                                    .config
-                                    .failures
-                                    .map(|c| c.repair_after)
-                                    .unwrap_or(SimDuration::from_minutes(30));
-                                self.pending_repairs.push((now + recheck, server));
-                            }
-                        }
-                        let ev = FailureEvent {
-                            kind: FailureKind::ServerFailed(server),
-                            time: now,
-                        };
-                        let outcome = self.controller.handle_failure(
-                            &ev,
-                            &mut self.landscape,
-                            self.engine.last_loads(),
-                            now,
-                        );
-                        self.absorb_recovery(outcome, failed_at.unwrap_or(now));
-                    }
-                    Subject::Instance(instance) => {
-                        let failed_at = self.crashed_instances.remove(&instance);
-                        if let Some(failed_at) = failed_at {
-                            self.metrics.detections += 1;
-                            self.metrics.detection_latency_secs += now.since(failed_at).as_secs();
-                        }
-                        let ev = FailureEvent {
-                            kind: FailureKind::InstanceCrashed(instance),
-                            time: now,
-                        };
-                        let outcome = self.controller.handle_failure(
-                            &ev,
-                            &mut self.landscape,
-                            self.engine.last_loads(),
-                            now,
-                        );
-                        self.absorb_recovery(outcome, failed_at.unwrap_or(now));
-                    }
-                    Subject::Service(_) => {}
-                },
-            }
-        }
-        self.heartbeats = Some(hb);
-
-        // Entries whose instance was removed by other means (a host-level
-        // recovery, a controller stop) can never be confirmed — drop them.
-        let landscape = &self.landscape;
-        self.crashed_instances
-            .retain(|i, _| landscape.instance(*i).is_ok());
-    }
-
-    /// Sever every session on a failed instance; the stranded users count
-    /// as lost sessions (they must re-login once capacity recovers).
-    fn sever_sessions(&mut self, instance: InstanceId) {
-        self.metrics.lost_sessions += self.engine.sever_sessions(&self.landscape, instance);
-    }
-
-    fn apply_side_effects(&mut self, outcome: &ApplyOutcome) {
-        self.engine.note_action(outcome, &self.landscape, self.time);
     }
 }
 
@@ -705,6 +252,14 @@ mod tests {
         let config =
             SimConfig::paper(scenario, multiplier).with_duration(SimDuration::from_hours(hours));
         Simulation::new(env, config).run()
+    }
+
+    #[test]
+    #[should_panic(expected = "chaos harness")]
+    fn chaos_knobs_are_refused() {
+        let config = SimConfig::paper(Scenario::FullMobility, 1.0)
+            .with_failures(crate::config::FailureInjection::default());
+        let _ = Simulation::new(build_environment(Scenario::FullMobility), config);
     }
 
     #[test]
@@ -787,7 +342,7 @@ mod tests {
     /// Bitwise comparison of two runs' metrics: every f64 by `to_bits`,
     /// everything else by equality, and the full Debug rendering as a
     /// catch-all for fields added later.
-    pub(crate) fn assert_metrics_bit_identical(a: &Metrics, b: &Metrics) {
+    fn assert_metrics_bit_identical(a: &Metrics, b: &Metrics) {
         assert_eq!(a.total_demand.to_bits(), b.total_demand.to_bits());
         assert_eq!(a.unserved_demand.to_bits(), b.unserved_demand.to_bits());
         assert_eq!(a.lost_sessions.to_bits(), b.lost_sessions.to_bits());
@@ -906,309 +461,6 @@ mod tests {
         assert!(
             night > day + 0.2,
             "BW DB night load {night} must exceed day load {day}"
-        );
-    }
-}
-
-#[cfg(test)]
-mod failure_tests {
-    use super::*;
-    use crate::config::FailureInjection;
-    use crate::sap::build_environment;
-    use crate::scenario::Scenario;
-
-    fn run_with_failures(scenario: Scenario, hours: u64) -> Metrics {
-        let env = build_environment(scenario);
-        let config = SimConfig::paper(scenario, 1.0)
-            .with_duration(SimDuration::from_hours(hours))
-            .with_failures(FailureInjection {
-                instance_crash_per_hour: 0.05,
-                server_failure_per_hour: 0.005,
-                repair_after: SimDuration::from_hours(1),
-            });
-        Simulation::new(env, config).run()
-    }
-
-    #[test]
-    fn failures_are_injected_and_recovered() {
-        let m = run_with_failures(Scenario::FullMobility, 24);
-        assert!(m.failures > 0, "with these rates a day must see failures");
-        assert!(
-            m.recoveries >= m.failures / 2,
-            "most failures recover: {} of {}",
-            m.recoveries,
-            m.failures
-        );
-        assert_eq!(m.lost_instances, 0, "the SAP pool always has a spare host");
-    }
-
-    #[test]
-    fn service_population_survives_a_day_of_crashes() {
-        let env = build_environment(Scenario::FullMobility);
-        let config = SimConfig::paper(Scenario::FullMobility, 1.0)
-            .with_duration(SimDuration::from_hours(24))
-            .with_failures(FailureInjection {
-                instance_crash_per_hour: 0.05,
-                server_failure_per_hour: 0.005,
-                repair_after: SimDuration::from_hours(1),
-            });
-        let mut sim = Simulation::new(env, config);
-        for _ in 0..24 * 60 {
-            sim.step();
-        }
-        // Every service keeps at least its minimum instance count.
-        for service in sim.landscape().service_ids() {
-            let spec = sim.landscape().service(service).unwrap();
-            assert!(
-                sim.landscape().instance_count_of(service) >= spec.min_instances.max(1) as usize,
-                "{} dropped below its minimum",
-                spec.name
-            );
-        }
-    }
-
-    #[test]
-    fn static_scenario_still_restarts_crashed_instances() {
-        // Restarts bypass action constraints: even immobile services heal.
-        let m = run_with_failures(Scenario::Static, 24);
-        assert!(m.failures > 0);
-        assert!(m.recoveries > 0, "restarts happen despite immobility");
-    }
-
-    #[test]
-    fn failure_injection_is_deterministic() {
-        let a = run_with_failures(Scenario::FullMobility, 12);
-        let b = run_with_failures(Scenario::FullMobility, 12);
-        assert_eq!(a.failures, b.failures);
-        assert_eq!(a.recoveries, b.recoveries);
-    }
-}
-
-#[cfg(test)]
-mod chaos_tests {
-    use super::*;
-    use crate::config::{FailureInjection, HeartbeatDetection};
-    use crate::sap::build_environment;
-    use crate::scenario::Scenario;
-    use autoglobe_controller::ExecutorConfig;
-
-    fn flaky_execution() -> ExecutorConfig {
-        ExecutorConfig {
-            min_latency: SimDuration::from_secs(30),
-            max_latency: SimDuration::from_minutes(3),
-            timeout: SimDuration::from_minutes(2),
-            failure_probability: 0.2,
-            ..ExecutorConfig::reliable()
-        }
-    }
-
-    #[test]
-    fn inner_jobs_are_bit_identical_under_chaos() {
-        // Same guarantee with every stochastic layer on top: failure
-        // injection, lossy heartbeats and flaky asynchronous execution.
-        let run = |inner_jobs: usize| {
-            Simulation::new(
-                build_environment(Scenario::ConstrainedMobility),
-                chaos_config(8).with_inner_jobs(inner_jobs),
-            )
-            .run()
-        };
-        let sequential = run(1);
-        let parallel = run(4);
-        super::tests::assert_metrics_bit_identical(&sequential, &parallel);
-        assert!(sequential.failures > 0, "chaos must have injected failures");
-    }
-
-    fn chaos_config(hours: u64) -> SimConfig {
-        SimConfig::paper(Scenario::ConstrainedMobility, 1.15)
-            .with_duration(SimDuration::from_hours(hours))
-            .with_failures(FailureInjection {
-                instance_crash_per_hour: 0.05,
-                server_failure_per_hour: 0.01,
-                repair_after: SimDuration::from_hours(1),
-            })
-            .with_execution(flaky_execution())
-            .with_heartbeats(HeartbeatDetection {
-                miss_threshold: 3,
-                confirm_after: 2,
-                loss_probability: 0.01,
-            })
-    }
-
-    #[test]
-    fn reliable_execution_reproduces_the_synchronous_path() {
-        // The asynchronous plan → dispatch → poll pipeline with zero
-        // latency and zero failure probability must be indistinguishable —
-        // byte for byte — from the synchronous handle_trigger path.
-        let base = || {
-            SimConfig::paper(Scenario::ConstrainedMobility, 1.15)
-                .with_duration(SimDuration::from_hours(12))
-        };
-        let sync = Simulation::new(build_environment(Scenario::ConstrainedMobility), base()).run();
-        let exec = Simulation::new(
-            build_environment(Scenario::ConstrainedMobility),
-            base().with_execution(ExecutorConfig::reliable()),
-        )
-        .run();
-        assert_eq!(sync.actions, exec.actions);
-        assert_eq!(sync.alerts, exec.alerts);
-        assert_eq!(sync.overload_secs, exec.overload_secs);
-        assert_eq!(sync.average_series, exec.average_series);
-        assert_eq!(exec.exec_retries, 0);
-        assert_eq!(exec.exec_timeouts, 0);
-        assert_eq!(exec.exec_compensations, 0);
-    }
-
-    #[test]
-    fn chaos_run_is_deterministic() {
-        let run = || {
-            Simulation::new(
-                build_environment(Scenario::ConstrainedMobility),
-                chaos_config(12),
-            )
-            .run()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.actions, b.actions);
-        assert_eq!(a.failures, b.failures);
-        assert_eq!(a.recoveries, b.recoveries);
-        assert_eq!(a.repairs, b.repairs);
-        assert_eq!(a.detections, b.detections);
-        assert_eq!(a.detection_latency_secs, b.detection_latency_secs);
-        assert_eq!(a.suspected_failures, b.suspected_failures);
-        assert_eq!(a.reconciliations, b.reconciliations);
-        assert_eq!(a.exec_retries, b.exec_retries);
-        assert_eq!(a.exec_timeouts, b.exec_timeouts);
-        assert_eq!(a.exec_fenced, b.exec_fenced);
-        assert_eq!(a.exec_compensations, b.exec_compensations);
-        assert_eq!(a.lost_instances, b.lost_instances);
-        assert_eq!(a.recovery_time_secs, b.recovery_time_secs);
-        assert_eq!(a.lost_sessions.to_bits(), b.lost_sessions.to_bits());
-        assert_eq!(a.average_series, b.average_series);
-    }
-
-    #[test]
-    fn heartbeat_detection_latency_is_exactly_the_detector_window() {
-        // Lossless heartbeats: no false suspicions, and every genuine
-        // failure is confirmed exactly miss_threshold + confirm_after − 1
-        // ticks after it happened (the failure tick itself is the first
-        // missed beat).
-        let config = SimConfig::paper(Scenario::FullMobility, 1.0)
-            .with_duration(SimDuration::from_hours(24))
-            .with_failures(FailureInjection {
-                instance_crash_per_hour: 0.05,
-                server_failure_per_hour: 0.005,
-                repair_after: SimDuration::from_hours(1),
-            })
-            .with_heartbeats(HeartbeatDetection {
-                miss_threshold: 3,
-                confirm_after: 2,
-                loss_probability: 0.0,
-            });
-        let m = Simulation::new(build_environment(Scenario::FullMobility), config).run();
-        assert!(m.failures > 0, "a day at these rates must see failures");
-        assert!(m.detections > 0, "heartbeats must confirm real failures");
-        // Every suspicion is genuine with lossless heartbeats.
-        assert_eq!(m.reconciliations, 0);
-        // 3 + 2 misses, the first coinciding with the failure tick: 4 min.
-        assert!(
-            (m.mean_detection_latency_secs() - 240.0).abs() < 1e-9,
-            "mean detection latency {}s",
-            m.mean_detection_latency_secs()
-        );
-        assert!(m.lost_sessions > 0.0, "severed users are accounted");
-    }
-
-    #[test]
-    fn false_suspicions_are_reconciled_not_double_started() {
-        // Lossy heartbeats, *no* real failures: suspicions come and go but
-        // nothing is confirmed, nothing restarts, nothing is lost.
-        let config = SimConfig::paper(Scenario::FullMobility, 1.0)
-            .with_duration(SimDuration::from_hours(12))
-            .with_heartbeats(HeartbeatDetection {
-                miss_threshold: 3,
-                confirm_after: 2,
-                loss_probability: 0.08,
-            });
-        let m = Simulation::new(build_environment(Scenario::FullMobility), config).run();
-        assert!(
-            m.suspected_failures > 0,
-            "a lossy network causes suspicions"
-        );
-        assert!(m.reconciliations > 0, "resumed heartbeats reconcile them");
-        assert_eq!(m.failures, 0);
-        assert_eq!(m.detections, 0, "no false suspicion may be confirmed");
-        assert_eq!(m.lost_instances, 0);
-        assert_eq!(m.lost_sessions, 0.0);
-    }
-
-    #[test]
-    fn lossy_heartbeats_do_not_perturb_the_failure_dice() {
-        // The heartbeat-loss draws run on their own RNG stream: the same
-        // seed must produce the same ground-truth failures whether or not
-        // the monitoring network drops beats.
-        let run = |loss: f64| {
-            let config = SimConfig::paper(Scenario::ConstrainedMobility, 1.0)
-                .with_duration(SimDuration::from_hours(12))
-                .with_failures(FailureInjection {
-                    instance_crash_per_hour: 0.05,
-                    server_failure_per_hour: 0.005,
-                    repair_after: SimDuration::from_hours(1),
-                })
-                .with_heartbeats(HeartbeatDetection {
-                    miss_threshold: 3,
-                    confirm_after: 2,
-                    loss_probability: loss,
-                });
-            Simulation::new(build_environment(Scenario::ConstrainedMobility), config).run()
-        };
-        let clean = run(0.0);
-        let lossy = run(0.05);
-        assert_eq!(clean.failures, lossy.failures);
-    }
-
-    #[test]
-    fn no_instance_stays_lost_while_a_feasible_host_exists() {
-        // Aggressive server failures on the full pool: instances may be
-        // lost while their only hosts are down, but every queued restart
-        // must either complete (once a host repairs) or have provably no
-        // feasible host right now.
-        let config = SimConfig::paper(Scenario::FullMobility, 1.0)
-            .with_duration(SimDuration::from_hours(24))
-            .with_failures(FailureInjection {
-                instance_crash_per_hour: 0.02,
-                server_failure_per_hour: 0.05,
-                repair_after: SimDuration::from_hours(2),
-            })
-            .with_heartbeats(HeartbeatDetection {
-                miss_threshold: 3,
-                confirm_after: 2,
-                loss_probability: 0.0,
-            });
-        let mut sim = Simulation::new(build_environment(Scenario::FullMobility), config);
-        for _ in 0..24 * 60 {
-            sim.step();
-            // Invariant at every tick: a queued loss has no feasible host
-            // (otherwise drain_restart_queue would have restarted it).
-            let queued: Vec<ServiceId> = sim.restart_queue.iter().map(|&(s, _, _)| s).collect();
-            for service in queued {
-                assert!(
-                    sim.controller
-                        .best_restart_host(
-                            service,
-                            &sim.landscape,
-                            sim.engine.last_loads(),
-                            sim.time
-                        )
-                        .is_none(),
-                    "instance stayed lost although a feasible host exists"
-                );
-            }
-        }
-        assert!(
-            sim.metrics.recoveries > 0,
-            "repairs must re-enable queued restarts"
         );
     }
 }

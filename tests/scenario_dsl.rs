@@ -35,16 +35,55 @@ fn digest(m: &Metrics) -> String {
     out
 }
 
-/// The legacy constructor path, pinned as the reference the identity
-/// composition must reproduce.
-#[allow(deprecated)]
-fn legacy_supervised(base: Scenario, hours: u64) -> Metrics {
+/// The reference the identity composition must reproduce: the paper's
+/// unmodulated workload engine driving a supervisor by hand through the
+/// public record/tick API.
+fn unmodulated_supervised(base: Scenario, hours: u64) -> Metrics {
+    use autoglobe::simulator::{SapEnvironment, WorkloadEngine};
+    use std::collections::BTreeSet;
     let sim = SimConfig::paper(base, 1.15).with_duration(SimDuration::from_hours(hours));
-    let supervisor = SupervisorConfig {
+    let SapEnvironment {
+        landscape,
+        workloads,
+    } = build_environment(base);
+    let mut engine = WorkloadEngine::new(&landscape, workloads, &sim);
+    let config = SupervisorConfig {
         controller: sim.controller,
         ..SupervisorConfig::default()
     };
-    SupervisedRun::new(build_environment(base), &sim, supervisor).run()
+    let mut supervisor = Supervisor::with_config(landscape, config);
+    let mut rng = autoglobe_rng::Rng::seed_from_u64(sim.seed);
+    let mut metrics = Metrics::default();
+    let mut time = SimTime::ZERO;
+    for _ in 0..sim.num_ticks() {
+        time += sim.tick;
+        let loads = engine.advance(
+            supervisor.landscape(),
+            &BTreeSet::new(),
+            time,
+            &mut rng,
+            &mut metrics,
+        );
+        for (server, cpu, mem) in loads.server_entries() {
+            supervisor.record_server(server, time, cpu, mem);
+        }
+        for (service, cpu) in loads.service_entries() {
+            supervisor.record_service(service, time, cpu);
+        }
+        for (instance, cpu) in loads.instance_entries() {
+            supervisor.record_instance(instance, time, cpu);
+        }
+        for record in supervisor.tick(time).unwrap() {
+            engine.note_action(&record.outcome, supervisor.landscape(), time);
+            metrics.actions.push(record);
+        }
+        metrics.alerts += supervisor
+            .drain_events()
+            .iter()
+            .filter(|e| matches!(e, ControllerEvent::AdministratorAlert { .. }))
+            .count();
+    }
+    metrics
 }
 
 /// Identity composition — an empty stack AND a stack of no-op combinators
@@ -54,7 +93,7 @@ fn legacy_supervised(base: Scenario, hours: u64) -> Metrics {
 fn identity_composition_reproduces_each_paper_scenario_bit_for_bit() {
     let hours = 6;
     for &base in &Scenario::ALL {
-        let reference = digest(&legacy_supervised(base, hours));
+        let reference = digest(&unmodulated_supervised(base, hours));
         let identity = RunBuilder::new(base).hours(hours).supervised().run();
         assert_eq!(
             digest(&identity),
