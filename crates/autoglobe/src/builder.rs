@@ -28,7 +28,7 @@
 //! its inputs.
 
 use crate::harness::{sub_seeds, ChaosRun, SupervisedRun};
-use crate::sharded::{ReplicationMode, ShardChaos, ShardedRun};
+use crate::sharded::{ShardChaos, ShardedRun};
 use crate::supervisor::SupervisorConfig;
 use autoglobe_controller::ExecutorConfig;
 use autoglobe_forecast::ProactiveConfig;
@@ -52,7 +52,6 @@ pub struct RunBuilder {
     proactive: Option<ProactiveConfig>,
     shards: usize,
     plane_jobs: usize,
-    replication: Option<ReplicationMode>,
     shard_chaos: ShardChaos,
 }
 
@@ -73,7 +72,6 @@ impl RunBuilder {
             proactive: None,
             shards: 1,
             plane_jobs: 1,
-            replication: None,
             shard_chaos: ShardChaos::none(),
         }
     }
@@ -175,13 +173,6 @@ impl RunBuilder {
         self
     }
 
-    /// Replication mode of the sharded plane (default: the plane's own
-    /// default, delta).
-    pub fn replication(mut self, mode: ReplicationMode) -> Self {
-        self.replication = Some(mode);
-        self
-    }
-
     /// Shard-plane chaos (random host failures + owner-kill schedule) for
     /// [`RunBuilder::sharded`].
     pub fn shard_chaos(mut self, chaos: ShardChaos) -> Self {
@@ -273,7 +264,7 @@ impl RunBuilder {
         let supervisor = self.effective_supervisor();
         let env = Self::take_env(&mut self.env, &self.spec);
         let modulation = self.spec.modulation(&env.workloads);
-        let run = ShardedRun::assemble(
+        ShardedRun::assemble(
             env,
             &self.sim,
             supervisor,
@@ -282,10 +273,6 @@ impl RunBuilder {
             self.shard_chaos.clone(),
             modulation,
             self.spec.schedule(),
-        );
-        match self.replication {
-            Some(mode) => run.with_replication(mode),
-            None => run,
-        }
+        )
     }
 }

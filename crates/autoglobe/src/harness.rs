@@ -711,35 +711,6 @@ mod tests {
         assert_eq!(a.total_demand.to_bits(), b.total_demand.to_bits());
     }
 
-    /// Tentpole acceptance at the control-plane surface: a supervised run
-    /// on the batched advisor path (the default, epsilon 0) must reproduce
-    /// the scalar seed path's run action for action and bit for bit.
-    #[test]
-    fn supervised_run_is_identical_under_batched_and_scalar_scoring() {
-        use autoglobe_controller::ScoringMode;
-        let run = |scoring: ScoringMode| {
-            let mut sim = config(8);
-            sim.controller.scoring = scoring;
-            RunBuilder::new(Scenario::ConstrainedMobility)
-                .sim(sim)
-                .supervised()
-                .run()
-        };
-        let batched = run(ScoringMode::Batched);
-        let scalar = run(ScoringMode::Scalar);
-        assert_eq!(batched.actions, scalar.actions);
-        assert_eq!(batched.alerts, scalar.alerts);
-        assert_eq!(batched.overload_secs, scalar.overload_secs);
-        assert_eq!(
-            batched.total_demand.to_bits(),
-            scalar.total_demand.to_bits()
-        );
-        assert!(
-            !batched.actions.is_empty(),
-            "the 8h window must exercise the advisor"
-        );
-    }
-
     fn chaos_config(hours: u64) -> SimConfig {
         use autoglobe_controller::ExecutorConfig;
         use autoglobe_simulator::HeartbeatDetection;

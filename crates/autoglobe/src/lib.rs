@@ -87,8 +87,7 @@ pub mod supervisor;
 pub use builder::RunBuilder;
 pub use harness::{ChaosRun, SupervisedRun};
 pub use sharded::{
-    IngestStats, Lease, PlaneEvent, ReplicationMode, ShardChaos, ShardRecoveryStats,
-    ShardedControlPlane, ShardedRun,
+    IngestStats, Lease, PlaneEvent, ShardChaos, ShardRecoveryStats, ShardedControlPlane, ShardedRun,
 };
 pub use supervisor::{Supervisor, SupervisorConfig};
 

@@ -10,31 +10,25 @@
 //! landscape, and every landscape mutation — each [`ActionRecord`] an owner
 //! executes, each confirmed failure — is replayed onto the other replicas
 //! ([`Supervisor::apply_remote`], [`Supervisor::replay_failure`]) in one
-//! global ascending-live-replica order, keeping them in lockstep. What
-//! differs between the two [`ReplicationMode`]s is who ingests the
-//! *measurement* stream:
+//! global ascending-live-replica order, keeping them in lockstep.
 //!
-//! * [`ReplicationMode::Full`] — every live replica applies the complete
-//!   buffered stream to its own monitoring (state machine replication,
-//!   not state partitioning), so each replica derives the identical
-//!   confirmed-trigger stream; the plane takes that stream from the lowest
-//!   live replica (the *canonical* one).
-//! * [`ReplicationMode::Delta`] (the default) — each replica ingests only
-//!   the measurements of subjects in its **owned** shards, so its load
-//!   archive and fuzzy advisors cover 1/shards of the landscape and
-//!   per-replica monitoring work drops from O(landscape) to
-//!   O(landscape/shards) per tick. Foreign loads arrive as a compact
-//!   per-shard [`ShardDelta`] (current loads plus advisor watch
-//!   snapshots), applied in ascending live-replica order exactly where
-//!   `apply_remote` runs; cross-shard reads during trigger planning go
-//!   through this read-only replicated loads view, never through foreign
-//!   monitoring state. The global trigger stream is the merge of the
-//!   owners' streams, restored to measurement-arrival order (then
-//!   proactive subjects ascending) — the very order the canonical replica
-//!   derives in full mode, bit for bit.
+//! The *measurement* stream is replicated by delta: each replica ingests
+//! only the measurements of subjects in its **owned** shards, so its load
+//! archive and fuzzy advisors cover 1/shards of the landscape and
+//! per-replica monitoring work is O(landscape/shards) per tick. Foreign
+//! loads arrive as a compact per-shard [`ShardDelta`] (current loads plus
+//! advisor watch snapshots), applied in ascending live-replica order exactly
+//! where `apply_remote` runs; cross-shard reads during trigger planning go
+//! through this read-only replicated loads view, never through foreign
+//! monitoring state. The global trigger stream is the merge of the owners'
+//! streams, restored to measurement-arrival order (then proactive subjects
+//! ascending). The tests prove every output bit-identical to full-stream
+//! state machine replication — every live replica ingesting the complete
+//! stream, the plane taking the lowest live replica's triggers — which this
+//! module keeps only as a test oracle.
 //!
-//! Either way the plane brokers each dispatch through the lease table: only
-//! the shard's current lease holder plans and executes the trigger, stamped
+//! The plane brokers each dispatch through the lease table: only the
+//! shard's current lease holder plans and executes the trigger, stamped
 //! with the lease epoch.
 //!
 //! # Failure of a shard owner
@@ -58,14 +52,14 @@
 //!    heartbeated the plane, so a server that was already silent when the
 //!    old owner died still accrues misses with the new owner and its
 //!    failure is confirmed after the usual detection window;
-//! 4. under delta replication the successor also rebuilds the shard's
-//!    monitoring from the plane's [`SampleRing`]: each adopted advisor is
-//!    restored from the dead owner's last published watch snapshot and
-//!    replays the samples that arrived after it. Any trigger the replay
-//!    re-derives is one full replication would have dropped at dispatch
-//!    while the shard was headless, so it is counted and evented
-//!    identically ([`PlaneEvent::TriggerDropped`] at the trigger's own
-//!    confirmation time).
+//! 4. the successor rebuilds the shard's monitoring from the plane's
+//!    [`SampleRing`]: each adopted advisor is restored from the dead
+//!    owner's last published watch snapshot and replays the samples that
+//!    arrived after it. Any trigger the replay re-derives is one a replica
+//!    ingesting the full stream would have dropped at dispatch while the
+//!    shard was headless, so it is counted and evented identically
+//!    ([`PlaneEvent::TriggerDropped`] at the trigger's own confirmation
+//!    time).
 //!
 //! Triggers for a shard whose lease still points at a dead-but-unconfirmed
 //! owner are dropped (and counted): the shard is headless for the detection
@@ -101,25 +95,10 @@ use crate::supervisor::SupervisorError;
 /// replicas from the primary's configured seed.
 const REPLICA_SEED_DOMAIN: u64 = 0x5EED_5A4D_0003;
 
-/// How non-owners learn about foreign shards' measurements (see the module
-/// docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplicationMode {
-    /// Every live replica ingests the complete measurement stream into its
-    /// own monitoring — state machine replication. Kept as the
-    /// proof/reference path: CI diffs its outputs against delta mode.
-    Full,
-    /// Owner-scoped ingestion plus compact per-shard [`ShardDelta`]s:
-    /// per-replica monitoring work is O(landscape/shards) per tick with
-    /// bit-identical outputs (test-enforced).
-    #[default]
-    Delta,
-}
-
-/// Cumulative measurement-ingestion accounting. Full replication performs
-/// `live_replicas ×` the buffered count of supervisor-side ingestions;
-/// delta replication at most one per measurement — the per-replica work
-/// reduction, assertable in tests.
+/// Cumulative measurement-ingestion accounting: delta replication performs
+/// at most one supervisor-side ingestion per buffered measurement (full-stream
+/// replication would perform `live_replicas ×` as many) — the per-replica
+/// work reduction, assertable in tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Measurements buffered through `record_*` and consumed by ticks.
@@ -128,9 +107,9 @@ pub struct IngestStats {
     pub ingested: u64,
 }
 
-/// Global ordering key for merging the owners' trigger streams in delta
-/// mode: measured triggers first, in measurement-arrival order (full
-/// mode's record order), then proactive triggers by subject (full mode's
+/// Global ordering key for merging the owners' trigger streams: measured
+/// triggers first, in measurement-arrival order (a full-stream replica's
+/// record order), then proactive triggers by subject (its
 /// servers-then-services landscape walk is exactly [`Subject`]'s order).
 /// The derived `Ord` encodes both rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -251,12 +230,12 @@ struct ShardWorker {
     supervisor: Supervisor,
     alive: bool,
     inbox_beats: Vec<(Subject, SimTime)>,
-    /// Delta mode: owner-routed measurements for this replica's shards,
-    /// tagged with their global arrival sequence (buffer reused per tick).
+    /// Owner-routed measurements for this replica's shards, tagged with
+    /// their global arrival sequence (buffer reused per tick).
     inbox_measurements: Vec<(u64, Subject, SimTime, f64, f64)>,
-    /// Delta mode: arrival tags of the measurements whose ingestion raised
-    /// a confirmed trigger, in ingestion order — tandem with the measured
-    /// prefix of `scratch_triggers`.
+    /// Arrival tags of the measurements whose ingestion raised a confirmed
+    /// trigger, in ingestion order — tandem with the measured prefix of
+    /// `scratch_triggers`.
     trigger_tags: Vec<(u64, Subject)>,
     scratch_triggers: Vec<PendingTrigger>,
 }
@@ -300,22 +279,25 @@ pub struct ShardedControlPlane {
     /// The authoritative controller-event stream (one copy per event, in
     /// plane order — replica replays are drained and discarded).
     controller_events: Vec<ControllerEvent>,
-    replication: ReplicationMode,
-    /// Delta mode: plane-retained samples plus last published watch
-    /// snapshots for every server/service — what a successor rebuilds an
-    /// adopted shard's monitoring from.
+    /// Plane-retained samples plus last published watch snapshots for
+    /// every server/service — what a successor rebuilds an adopted shard's
+    /// monitoring from.
     ring: SampleRing,
-    /// Per-shard delta under construction each delta-mode tick (buffers
-    /// reused across ticks).
+    /// Per-shard delta under construction each tick (buffers reused across
+    /// ticks).
     deltas: Vec<ShardDelta>,
     ingest: IngestStats,
-    /// Reusable instance-routing table for delta-mode ticks: instance id →
-    /// owning shard (`u32::MAX` = departed). Refilled from one instance
-    /// walk per tick, replacing a tree lookup per instance measurement.
-    /// Length is meaningless between ticks.
+    /// Reusable instance-routing table: instance id → owning shard
+    /// (`u32::MAX` = departed). Refilled from one instance walk per tick,
+    /// replacing a tree lookup per instance measurement. Length is
+    /// meaningless between ticks.
     route_scratch: Vec<u32>,
     jobs: usize,
     last_now: Option<SimTime>,
+    /// The full-stream replication oracle drives this plane (tests only;
+    /// see `tests::tick_full_stream`).
+    #[cfg(test)]
+    full_stream: bool,
 }
 
 impl ShardedControlPlane {
@@ -359,46 +341,17 @@ impl ShardedControlPlane {
             beated: BTreeSet::new(),
             measurements: Vec::new(),
             controller_events: Vec::new(),
-            replication: ReplicationMode::Delta,
             ring: SampleRing::new(ring_retention_secs()),
             deltas: (0..shards).map(|s| ShardDelta::new(s, 0, 0)).collect(),
             ingest: IngestStats::default(),
             route_scratch: Vec::new(),
             jobs: shards,
             last_now: None,
+            #[cfg(test)]
+            full_stream: false,
         };
         plane.apply_scopes();
         plane
-    }
-
-    /// Choose the [`ReplicationMode`] (builder form). Must be applied
-    /// before any measurement is recorded: switching re-scopes every
-    /// replica's monitoring from scratch.
-    pub fn with_replication(mut self, mode: ReplicationMode) -> Self {
-        self.set_replication(mode);
-        self
-    }
-
-    /// Choose the [`ReplicationMode`]; see
-    /// [`with_replication`](Self::with_replication).
-    pub fn set_replication(&mut self, mode: ReplicationMode) {
-        if mode == self.replication {
-            return;
-        }
-        self.replication = mode;
-        match mode {
-            ReplicationMode::Full => {
-                for w in &mut self.workers {
-                    w.supervisor.clear_monitor_scope();
-                }
-            }
-            ReplicationMode::Delta => self.apply_scopes(),
-        }
-    }
-
-    /// The active replication mode.
-    pub fn replication(&self) -> ReplicationMode {
-        self.replication
     }
 
     /// Cumulative measurement-ingestion counters.
@@ -412,8 +365,8 @@ impl ShardedControlPlane {
         self.measurements.capacity()
     }
 
-    /// The per-shard deltas published by the last delta-mode tick
-    /// (inspection / tests; the buffers are rebuilt every tick).
+    /// The per-shard deltas published by the last tick (inspection /
+    /// tests; the buffers are rebuilt every tick).
     pub fn last_deltas(&self) -> &[ShardDelta] {
         &self.deltas
     }
@@ -689,16 +642,28 @@ impl ShardedControlPlane {
         }
     }
 
-    /// One plane tick (see the module docs): owner liveness + succession,
-    /// the parallel per-replica interval close, settle/recovery
-    /// replication, and the canonical trigger stream brokered through the
-    /// lease table.
+    /// One plane tick (see the module docs): owner liveness and succession,
+    /// owner-scoped ingestion and delta publication, the sequential
+    /// per-replica interval close, and the merged trigger stream brokered
+    /// through the lease table.
     pub fn tick(&mut self, now: SimTime) -> Result<PlaneTickReport, SupervisorError> {
+        #[cfg(test)]
+        if self.full_stream {
+            return self.tick_full_stream(now);
+        }
         self.advance_clock(now)?;
         let mut report = PlaneTickReport::default();
+        self.check_owners(now, &mut report);
+        self.ingest_deltas(now);
+        let live = self.close_intervals(now, &mut report);
+        let triggers = self.merge_triggers(&live);
+        self.dispatch(triggers, now, &mut report);
+        Ok(report)
+    }
 
-        // ---- 1. Supervisor liveness: every live replica beats the plane
-        // monitor; confirmed silence triggers deterministic succession.
+    /// Phase 1, supervisor liveness: every live replica beats the plane
+    /// monitor; confirmed silence triggers deterministic succession.
+    fn check_owners(&mut self, now: SimTime, report: &mut PlaneTickReport) {
         for i in 0..self.workers.len() {
             if self.workers[i].alive {
                 self.liveness
@@ -721,60 +686,27 @@ impl ShardedControlPlane {
                     report
                         .events
                         .push(PlaneEvent::OwnerConfirmed { supervisor, time });
-                    let fenced = self.succeed(supervisor, now, &mut report);
-                    report.fenced += fenced;
+                    self.succeed(supervisor, now, report);
                 }
                 HeartbeatEvent::Reconciled { .. } => {}
             }
         }
+    }
 
-        // ---- 2. Measurement fan-in. Full mode: every live replica applies
-        // the complete buffered stream. Delta mode: the plane routes each
-        // measurement to its owner and publishes per-shard deltas. Replicas
-        // are independent inside the parallel regions, so any fan-out width
-        // produces identical results.
-        self.ingest.buffered += self.measurements.len() as u64;
-        match self.replication {
-            ReplicationMode::Full => {
-                let live_count = self.workers.iter().filter(|w| w.alive).count() as u64;
-                self.ingest.ingested += live_count * self.measurements.len() as u64;
-                let measurements = &self.measurements;
-                pool::parallel_chunks_mut(self.jobs, &mut self.workers, |_, chunk| {
-                    for w in chunk.iter_mut().filter(|w| w.alive) {
-                        for &(subject, time, cpu, mem) in measurements {
-                            match subject {
-                                Subject::Server(s) => w.supervisor.record_server(s, time, cpu, mem),
-                                Subject::Service(s) => w.supervisor.record_service(s, time, cpu),
-                                Subject::Instance(i) => w.supervisor.record_instance(i, time, cpu),
-                            }
-                        }
-                        for idx in 0..w.inbox_beats.len() {
-                            let (subject, time) = w.inbox_beats[idx];
-                            w.supervisor
-                                .beat(subject, time)
-                                .expect("the plane routes monotonic beats");
-                        }
-                        w.inbox_beats.clear();
-                    }
-                });
-                self.measurements.clear();
-            }
-            ReplicationMode::Delta => self.ingest_deltas(now),
-        }
-
-        // ---- 3/4. Sequential interval close, ascending replica order:
-        // close replica i's monitoring interval (which settles its earlier
-        // dispatches and runs its heartbeat self-healing), then immediately
-        // replicate those mutations — settled actions via `apply_remote`,
-        // confirmed failures via `replay_failure` — to every other live
-        // replica before the next replica closes its own interval. The
-        // strict order matters for more than tidiness: landscape mutations
-        // allocate instance ids sequentially, so all replicas must apply
-        // the same tick's mutations in one global order. Were each owner
-        // to close in parallel, two owners mutating in the same tick would
-        // each apply their own mutation first and the other's second,
-        // swapping the allocation order and forking the replicas' id
-        // spaces.
+    /// Phases 3/4, the sequential interval close in ascending replica
+    /// order: close replica i's monitoring interval (which settles its
+    /// earlier dispatches and runs its heartbeat self-healing), then
+    /// immediately replicate those mutations — settled actions via
+    /// `apply_remote`, confirmed failures via `replay_failure` — to every
+    /// other live replica before the next replica closes its own interval.
+    /// The strict order matters for more than tidiness: landscape mutations
+    /// allocate instance ids sequentially, so all replicas must apply the
+    /// same tick's mutations in one global order. Were each owner to close
+    /// in parallel, two owners mutating in the same tick would each apply
+    /// their own mutation first and the other's second, swapping the
+    /// allocation order and forking the replicas' id spaces. Returns the
+    /// live replicas, ascending.
+    fn close_intervals(&mut self, now: SimTime, report: &mut PlaneTickReport) -> Vec<usize> {
         let live = self.live();
         for &i in &live {
             let (completed, triggers) = self.workers[i]
@@ -801,36 +733,27 @@ impl ShardedControlPlane {
                         self.workers[j].supervisor.drain_events();
                     }
                 }
-                if self.replication == ReplicationMode::Delta {
-                    if let Some(shard) = self.shard_of_subject(rec.subject) {
-                        self.deltas[shard]
-                            .recoveries
-                            .push((to_delta(rec.subject), rec.time.as_secs()));
-                    }
+                if let Some(shard) = self.shard_of_subject(rec.subject) {
+                    self.deltas[shard]
+                        .recoveries
+                        .push((to_delta(rec.subject), rec.time.as_secs()));
                 }
                 report.recoveries.push(rec);
             }
         }
+        live
+    }
 
-        // ---- 5. The global trigger stream, brokered through the lease
-        // table. Full mode: the canonical replica's stream (all replicas
-        // derive identical copies). Delta mode: the owners' streams merged
-        // back into that same global order. The owner stamps the lease
-        // epoch, plans, dispatches; every completion is replicated.
-        // Headless shards drop (and count) their triggers — monitoring
-        // re-raises them under the next owner.
-        let triggers: Vec<PendingTrigger> = match self.replication {
-            ReplicationMode::Full => {
-                let canonical = self.canonical();
-                let triggers = std::mem::take(&mut self.workers[canonical].scratch_triggers);
-                for &i in &live {
-                    self.workers[i].scratch_triggers.clear();
-                    self.workers[i].trigger_tags.clear();
-                }
-                triggers
-            }
-            ReplicationMode::Delta => self.merge_triggers(&live),
-        };
+    /// Phase 5, the global trigger stream brokered through the lease table:
+    /// the owner stamps the lease epoch, plans, dispatches; every
+    /// completion is replicated. Headless shards drop (and count) their
+    /// triggers — monitoring re-raises them under the next owner.
+    fn dispatch(
+        &mut self,
+        triggers: Vec<PendingTrigger>,
+        now: SimTime,
+        report: &mut PlaneTickReport,
+    ) {
         for trigger in triggers {
             let Some(shard) = self.shard_of_subject(trigger.event.subject) else {
                 continue;
@@ -860,8 +783,6 @@ impl ShardedControlPlane {
             let events = self.workers[owner].supervisor.drain_events();
             self.controller_events.extend(events);
         }
-
-        Ok(report)
     }
 
     /// Settle in-flight operations on every live replica's substrate and
@@ -888,15 +809,14 @@ impl ShardedControlPlane {
     /// Deterministic succession for a confirmed-dead supervisor: bump the
     /// global epoch, move every lease it held to the lowest live replica,
     /// watch-adopt the shard's heartbeating subjects, rebuild the shard's
-    /// monitoring from the sample ring (delta mode), and fence the dead
-    /// owner's in-flight work below the new epoch. Returns the number of
-    /// fenced operations.
-    fn succeed(&mut self, dead: usize, now: SimTime, report: &mut PlaneTickReport) -> usize {
+    /// monitoring from the sample ring, and fence the dead owner's
+    /// in-flight work below the new epoch.
+    fn succeed(&mut self, dead: usize, now: SimTime, report: &mut PlaneTickReport) {
         let orphaned: Vec<ShardId> = (0..self.leases.len())
             .filter(|&s| self.leases[s].owner == dead)
             .collect();
         if orphaned.is_empty() {
-            return 0;
+            return;
         }
         self.epoch += 1;
         let successor = self.canonical();
@@ -921,25 +841,23 @@ impl ShardedControlPlane {
             for subject in adopt {
                 self.workers[successor].supervisor.watch(subject);
             }
-            if self.replication == ReplicationMode::Delta {
-                self.workers[successor].supervisor.adopt_shard(shard);
-                self.rebuild_shard_monitoring(shard, successor, report);
-            }
+            self.adopt_shard_monitoring(shard, successor, report);
         }
-        self.workers[dead]
+        report.fenced += self.workers[dead]
             .supervisor
             .fence_stale_epochs(self.epoch, now)
-            .len()
+            .len();
     }
 
-    /// Delta-mode phase 2: route the buffered stream (owner inboxes, the
-    /// sample ring, per-shard delta loads), let owners ingest their
-    /// inboxes in parallel, then publish the deltas — watch snapshots into
-    /// the ring, foreign loads onto every other live replica — in
-    /// ascending live-replica order. Headless shards have no publisher;
-    /// the plane itself applies their loads to every live replica so
-    /// cross-shard planning never reads a stale view.
+    /// Phase 2: route the buffered stream (owner inboxes, the sample ring,
+    /// per-shard delta loads), let owners ingest their inboxes in parallel,
+    /// then publish the deltas — watch snapshots into the ring, foreign
+    /// loads onto every other live replica — in ascending live-replica
+    /// order. Headless shards have no publisher; the plane itself applies
+    /// their loads to every live replica so cross-shard planning never
+    /// reads a stale view.
     fn ingest_deltas(&mut self, now: SimTime) {
+        self.ingest.buffered += self.measurements.len() as u64;
         let now_secs = now.as_secs();
         for shard in 0..self.deltas.len() {
             let epoch = self.leases[shard].epoch;
@@ -1120,9 +1038,9 @@ impl ShardedControlPlane {
         }
     }
 
-    /// Delta-mode phase 5: interleave the owners' trigger streams back into
-    /// the global order full replication derives. Measured triggers carry
-    /// the arrival sequence of the measurement that raised them (the
+    /// Phase 5's input: interleave the owners' trigger streams back into
+    /// the global order a full-stream replica derives. Measured triggers
+    /// carry the arrival sequence of the measurement that raised them (the
     /// tandem `trigger_tags`); proactive triggers sort by subject. A tag
     /// whose trigger was pruned before the interval closed (its subject
     /// departed) is skipped by the tandem walk — a departed subject can
@@ -1158,22 +1076,29 @@ impl ShardedControlPlane {
         keyed.into_iter().map(|(_, trigger)| trigger).collect()
     }
 
-    /// Delta-mode adoption: rebuild the successor's monitoring for an
-    /// adopted shard from the plane's sample ring. Each server/service of
-    /// the shard restores from the dead owner's last published watch
-    /// snapshot, then replays the samples that arrived after it. Any
-    /// trigger the replay re-derives is one full replication would have
-    /// dropped at dispatch while the shard was headless, so it is counted
-    /// and evented identically, stamped with the trigger's own
-    /// confirmation time. (The owner's load *archive* is not rebuilt: it
-    /// only feeds proactive control, which restarts cold for the adopted
-    /// shard — a documented limitation.)
-    fn rebuild_shard_monitoring(
+    /// Adoption: extend the successor's monitor scope with the shard and
+    /// rebuild its monitoring from the plane's sample ring. Each
+    /// server/service of the shard restores from the dead owner's last
+    /// published watch snapshot, then replays the samples that arrived
+    /// after it. Any trigger the replay re-derives is one a full-stream
+    /// replica would have dropped at dispatch while the shard was
+    /// headless, so it is counted and evented identically, stamped with
+    /// the trigger's own confirmation time. (The owner's load *archive* is
+    /// not rebuilt: it only feeds proactive control, which restarts cold
+    /// for the adopted shard — a documented limitation.)
+    fn adopt_shard_monitoring(
         &mut self,
         shard: ShardId,
         successor: usize,
         report: &mut PlaneTickReport,
     ) {
+        // The full-stream oracle's unscoped replicas already monitor
+        // every subject.
+        #[cfg(test)]
+        if self.full_stream {
+            return;
+        }
+        self.workers[successor].supervisor.adopt_shard(shard);
         let subjects: Vec<(Subject, SubjectConfig)> = {
             let landscape = self.workers[successor].supervisor.landscape();
             let servers = landscape
@@ -1412,13 +1337,6 @@ impl ShardedRun {
             draining: BTreeMap::new(),
             stats: ShardRecoveryStats::default(),
         }
-    }
-
-    /// Choose the plane's [`ReplicationMode`] (builder form; apply before
-    /// the first step).
-    pub fn with_replication(mut self, mode: ReplicationMode) -> Self {
-        self.plane.set_replication(mode);
-        self
     }
 
     /// The plane (to inspect leases, epochs, replicas).
@@ -1673,8 +1591,8 @@ mod tests {
     use super::*;
     use crate::builder::RunBuilder;
     use autoglobe_controller::ExecutorConfig;
-    use autoglobe_landscape::{ServerSpec, ServiceKind, ServiceSpec};
-    use autoglobe_simulator::Scenario;
+    use autoglobe_landscape::{ServerSpec, ServiceKind, ServiceSpec, SynthConfig};
+    use autoglobe_simulator::{synth_environment, Scenario};
 
     fn fig13_config(hours: u64) -> SimConfig {
         SimConfig::paper(Scenario::ConstrainedMobility, 1.15)
@@ -1700,6 +1618,76 @@ mod tests {
         out
     }
 
+    /// How a test plane replicates the measurement stream: the production
+    /// delta path, or the full-stream oracle.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Replication {
+        Delta,
+        Full,
+    }
+
+    impl ShardedControlPlane {
+        /// Hand the plane to the full-stream replication oracle: every live
+        /// replica monitors every subject. Call before any measurement is
+        /// recorded.
+        fn use_full_stream(&mut self) {
+            self.full_stream = true;
+            for w in &mut self.workers {
+                w.supervisor.clear_monitor_scope();
+            }
+        }
+
+        /// The oracle's tick — state machine replication: every live
+        /// replica ingests the complete buffered stream, so each derives the
+        /// identical confirmed-trigger stream and the plane takes the lowest
+        /// live replica's. Succession, the interval close and dispatch are
+        /// the production phases.
+        pub(super) fn tick_full_stream(
+            &mut self,
+            now: SimTime,
+        ) -> Result<PlaneTickReport, SupervisorError> {
+            self.advance_clock(now)?;
+            let mut report = PlaneTickReport::default();
+            self.check_owners(now, &mut report);
+            let live = self.live();
+            self.ingest.buffered += self.measurements.len() as u64;
+            self.ingest.ingested += (live.len() * self.measurements.len()) as u64;
+            for &i in &live {
+                let w = &mut self.workers[i];
+                for &(subject, time, cpu, mem) in &self.measurements {
+                    match subject {
+                        Subject::Server(s) => w.supervisor.record_server(s, time, cpu, mem),
+                        Subject::Service(s) => w.supervisor.record_service(s, time, cpu),
+                        Subject::Instance(i) => w.supervisor.record_instance(i, time, cpu),
+                    }
+                }
+                for (subject, time) in w.inbox_beats.drain(..) {
+                    w.supervisor
+                        .beat(subject, time)
+                        .expect("the plane routes monotonic beats");
+                }
+            }
+            self.measurements.clear();
+            let live = self.close_intervals(now, &mut report);
+            let canonical = self.canonical();
+            let triggers = std::mem::take(&mut self.workers[canonical].scratch_triggers);
+            for &i in &live {
+                self.workers[i].scratch_triggers.clear();
+            }
+            self.dispatch(triggers, now, &mut report);
+            Ok(report)
+        }
+    }
+
+    /// Finish a builder as a sharded run on the chosen replication path.
+    fn sharded(builder: RunBuilder, replication: Replication) -> ShardedRun {
+        let mut run = builder.sharded();
+        if replication == Replication::Full {
+            run.plane_mut().use_full_stream();
+        }
+        run
+    }
+
     #[test]
     fn one_shard_reproduces_the_supervised_run_bit_for_bit() {
         let hours = 12;
@@ -1708,14 +1696,11 @@ mod tests {
             .sim(sim.clone())
             .supervised()
             .run();
-        // Both replication modes must reproduce the unsharded run: delta is
-        // the default, full is the reference path — pinned twins.
-        for mode in [ReplicationMode::Delta, ReplicationMode::Full] {
-            let (sharded, stats) = RunBuilder::new(Scenario::ConstrainedMobility)
-                .sim(sim.clone())
-                .replication(mode)
-                .sharded()
-                .run();
+        // Both replication paths must reproduce the unsharded run: delta is
+        // the production path, full the oracle — pinned twins.
+        for mode in [Replication::Delta, Replication::Full] {
+            let builder = RunBuilder::new(Scenario::ConstrainedMobility).sim(sim.clone());
+            let (sharded, stats) = sharded(builder, mode).run();
             assert_eq!(reference.actions, sharded.actions, "{mode:?}");
             assert_eq!(reference.alerts, sharded.alerts, "{mode:?}");
             assert_eq!(reference.overload_secs, sharded.overload_secs, "{mode:?}");
@@ -1739,44 +1724,158 @@ mod tests {
         // recovery statistics as full state machine replication — through
         // owner kills, epoch changes and monitoring rebuilds.
         let sim = fig13_config(16);
-        let run = |mode: ReplicationMode| {
-            let executor = ExecutorConfig {
-                min_latency: SimDuration::from_minutes(2),
-                max_latency: SimDuration::from_minutes(8),
-                timeout: SimDuration::from_minutes(6),
-                failure_probability: 0.1,
+        let executor = ExecutorConfig {
+            min_latency: SimDuration::from_minutes(2),
+            max_latency: SimDuration::from_minutes(8),
+            timeout: SimDuration::from_minutes(6),
+            failure_probability: 0.1,
+            ..ExecutorConfig::reliable()
+        };
+        let sup = SupervisorConfig {
+            controller: sim.controller,
+            executor,
+            executor_seed: 99,
+            ..SupervisorConfig::default()
+        };
+        let chaos = ShardChaos {
+            server_failure_per_hour: 0.05,
+            repair_after: SimDuration::from_hours(1),
+            kill_fracs: vec![0.4, 0.7],
+        };
+        let builder = RunBuilder::new(Scenario::ConstrainedMobility)
+            .sim(sim)
+            .supervisor(sup)
+            .shards(4)
+            .plane_jobs(2)
+            .shard_chaos(chaos);
+        let (delta, stats) = assert_delta_matches_full(builder, "16 h, 4 shards");
+        assert!(stats.failures_injected > 0, "the dice must fail hosts");
+        assert_eq!(delta.failures, stats.failures_injected);
+    }
+
+    /// The `experiments shardchaos` substrate on `shards` shards: host
+    /// failures at 0.05 per server-hour with 1 h repairs, `kills` owner
+    /// kills at 35 % and 65 % of the horizon, and the latent fallible
+    /// executor (30 s – 3 min, 5 % failed attempts) so kills leave
+    /// in-flight work to fence.
+    fn shard_chaos(builder: RunBuilder, shards: usize, kills: usize) -> RunBuilder {
+        builder
+            .execution(ExecutorConfig {
+                min_latency: SimDuration::from_secs(30),
+                max_latency: SimDuration::from_minutes(3),
+                timeout: SimDuration::from_minutes(2),
+                failure_probability: 0.05,
                 ..ExecutorConfig::reliable()
-            };
-            let sup = SupervisorConfig {
-                controller: sim.controller,
-                executor,
-                executor_seed: 99,
-                ..SupervisorConfig::default()
-            };
-            let chaos = ShardChaos {
+            })
+            .shards(shards)
+            .plane_jobs(2)
+            .shard_chaos(ShardChaos {
                 server_failure_per_hour: 0.05,
                 repair_after: SimDuration::from_hours(1),
-                kill_fracs: vec![0.4, 0.7],
-            };
-            RunBuilder::new(Scenario::ConstrainedMobility)
-                .sim(sim.clone())
-                .supervisor(sup)
-                .shards(4)
-                .plane_jobs(2)
-                .shard_chaos(chaos)
-                .replication(mode)
-                .sharded()
-                .run()
-        };
-        let (full, full_stats) = run(ReplicationMode::Full);
-        let (delta, delta_stats) = run(ReplicationMode::Delta);
-        assert_eq!(full.actions, delta.actions);
-        assert_eq!(full.alerts, delta.alerts);
-        assert_eq!(full.overload_secs, delta.overload_secs);
-        assert_eq!(full.total_demand.to_bits(), delta.total_demand.to_bits());
-        assert_eq!(full_stats, delta_stats);
-        assert!(full_stats.failures_injected > 0, "the dice must fail hosts");
-        assert_eq!(full.failures, full_stats.failures_injected);
+                kill_fracs: [0.35, 0.65][..kills].to_vec(),
+            })
+    }
+
+    /// Run `builder` on both replication paths and require the same
+    /// action stream, alerts, overload, demand bits and recovery
+    /// statistics. Returns the delta run's results.
+    fn assert_delta_matches_full(
+        builder: RunBuilder,
+        label: &str,
+    ) -> (Metrics, ShardRecoveryStats) {
+        let (full, full_stats) = sharded(builder.clone(), Replication::Full).run();
+        let (delta, delta_stats) = sharded(builder, Replication::Delta).run();
+        assert_eq!(full.actions, delta.actions, "{label}: actions diverged");
+        assert_eq!(full.alerts, delta.alerts, "{label}: alerts diverged");
+        assert_eq!(full.overload_secs, delta.overload_secs, "{label}");
+        assert_eq!(
+            full.total_demand.to_bits(),
+            delta.total_demand.to_bits(),
+            "{label}: demand diverged"
+        );
+        assert_eq!(full_stats, delta_stats, "{label}: recovery stats diverged");
+        (delta, delta_stats)
+    }
+
+    #[test]
+    fn delta_replication_matches_full_on_the_paper_shard_ladder() {
+        // The shard-smoke point (Figure 13, ideal conditions, 4 shards) and
+        // every chaos point of the shardchaos ladder: owner kills, epoch
+        // changes, fencing and monitoring rebuilds are all invisible.
+        let smoke = RunBuilder::new(Scenario::ConstrainedMobility)
+            .hours(6)
+            .seed(42)
+            .shards(4)
+            .plane_jobs(2);
+        let (_, stats) = assert_delta_matches_full(smoke, "shard smoke");
+        assert_eq!(stats, ShardRecoveryStats::default());
+        for (shards, kills) in [(2, 1), (3, 2), (4, 2)] {
+            let builder = RunBuilder::new(Scenario::ConstrainedMobility)
+                .hours(2)
+                .seed(7);
+            let label = format!("{shards} shards, {kills} kills");
+            let (_, stats) = assert_delta_matches_full(shard_chaos(builder, shards, kills), &label);
+            assert_eq!(stats.owner_detections, kills, "{label}: kills confirmed");
+            assert!(stats.readoptions >= kills, "{label}: shards re-adopted");
+        }
+    }
+
+    #[test]
+    fn delta_replication_matches_full_on_synth_landscapes() {
+        // The same contract beyond the paper pool: seeded synthetic
+        // landscapes at the ladder's shard and kill counts.
+        for (servers, shards, kills, seed) in [(50, 2, 1, 77), (80, 3, 2, 101), (120, 4, 2, 131)] {
+            let builder = RunBuilder::new(Scenario::ConstrainedMobility)
+                .multiplier(1.0)
+                .hours(4)
+                .seed(seed)
+                .environment(synth_environment(&SynthConfig::sized(servers, seed)));
+            let label = format!("{servers} servers, {shards} shards, {kills} kills");
+            let (_, stats) = assert_delta_matches_full(shard_chaos(builder, shards, kills), &label);
+            assert_eq!(stats.owner_detections, kills, "{label}: kills confirmed");
+        }
+    }
+
+    #[test]
+    fn replica_load_views_match_the_full_stream_oracle_through_an_owner_kill() {
+        // State-level equivalence, tick by tick: every live replica's
+        // latest-value load view — what planning reads for candidate
+        // hosts — equals the full-stream oracle's, including the headless
+        // window between the owner's kill and its confirmation, when the
+        // plane itself must publish the orphaned shard's loads.
+        let (mut delta, servers) = tiny_plane(3, ExecutorConfig::reliable());
+        let (mut full, _) = tiny_plane(3, ExecutorConfig::reliable());
+        full.use_full_stream();
+        let mut t = SimTime::ZERO;
+        for tick in 0..12u32 {
+            t += SimDuration::from_minutes(1);
+            if tick == 3 {
+                let victim = delta.canonical();
+                assert!(delta.kill(victim) && full.kill(victim));
+            }
+            for plane in [&mut delta, &mut full] {
+                for (k, &s) in servers.iter().enumerate() {
+                    let cpu = 0.05 * f64::from(tick) + 0.01 * k as f64;
+                    plane.record_server(s, t, cpu, cpu / 2.0);
+                    plane.beat(Subject::Server(s), t);
+                }
+                plane.tick(t).unwrap();
+            }
+            for i in (0..delta.shards()).filter(|&i| delta.is_alive(i)) {
+                let (d, f) = (
+                    delta.supervisor(i).load_view(),
+                    full.supervisor(i).load_view(),
+                );
+                for &s in &servers {
+                    let subject = Subject::Server(s);
+                    assert_eq!(
+                        (d.cpu(subject).to_bits(), d.mem(subject).to_bits()),
+                        (f.cpu(subject).to_bits(), f.mem(subject).to_bits()),
+                        "tick {tick}: replica {i} sees {s} differently"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1812,9 +1911,9 @@ mod tests {
             "delta routes each measurement to exactly one owner"
         );
 
-        // Full replication ingests the stream on every live replica.
-        let (plane, servers) = tiny_plane(2, ExecutorConfig::reliable());
-        let mut plane = plane.with_replication(ReplicationMode::Full);
+        // The full-stream oracle ingests the stream on every live replica.
+        let (mut plane, servers) = tiny_plane(2, ExecutorConfig::reliable());
+        plane.use_full_stream();
         let mut t = SimTime::ZERO;
         for _ in 0..10 {
             t += minute;

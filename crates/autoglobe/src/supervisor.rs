@@ -482,6 +482,13 @@ impl Supervisor {
         &self.landscape
     }
 
+    /// The latest-value loads planning reads (the sharded plane's
+    /// replication tests compare replicas through it).
+    #[cfg(test)]
+    pub(crate) fn load_view(&self) -> &dyn LoadView {
+        &self.loads
+    }
+
     /// Mutable access for administrative changes (registering servers and
     /// services). Newly added entities are picked up by monitoring on the
     /// next [`Supervisor::tick`]; departed ones (stopped instances) are
@@ -797,8 +804,10 @@ impl Supervisor {
     /// landscape subject — the inverse of
     /// [`Supervisor::set_monitor_scope`], under the same contract: call
     /// before any measurements are recorded, so "fresh" and "never scoped"
-    /// are the same state.
-    pub fn clear_monitor_scope(&mut self) {
+    /// are the same state. Only the sharded plane's full-stream test
+    /// oracle needs it.
+    #[cfg(test)]
+    pub(crate) fn clear_monitor_scope(&mut self) {
         self.scope = None;
         self.seen_revision = None;
         self.register_new_subjects();

@@ -10,48 +10,46 @@
 //! invocation also writes `results/timings.csv` with the wall-clock time
 //! of each experiment it ran. `--jobs N` sizes the worker pool (default:
 //! the machine's available parallelism); results are bit-identical at any
-//! job count because every simulation owns its seeded RNG.
+//! job count because every simulation owns its seeded RNG. An unknown
+//! command or flag, a flag without a value and a value that does not parse
+//! print the usage and exit with status 2 before anything runs.
 
-use autoglobe::ReplicationMode;
 use autoglobe_bench as xp;
-use autoglobe_controller::ScoringMode;
 use autoglobe_simulator::{Metrics, Scenario};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 use std::time::Instant;
 
+const USAGE: &str = "usage: experiments <fig3|fig5|tables|fig10|inventory|fig12|fig13|fig14|\
+                     fig15|fig16|fig17|scale-smoke|table7|chaos|shardchaos|shard-smoke|\
+                     proactive|scenarios|designer|ablation|all> [--hours N] [--seed N] \
+                     [--jobs N] [--inner-jobs N] [--servers N] [--shards N] [--scenario NAME]";
+
+/// The flags taking a non-negative integer; `--scenario` takes a name.
+const NUMBER_FLAGS: [&str; 6] = [
+    "--hours",
+    "--seed",
+    "--jobs",
+    "--inner-jobs",
+    "--servers",
+    "--shards",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
-    let hours = flag(&args, "--hours").unwrap_or(80);
-    let seed = flag(&args, "--seed").unwrap_or(42);
-    let jobs = xp::pool::effective_jobs(flag(&args, "--jobs").unwrap_or(0) as usize);
+    let flags = match Flags::parse(args.get(1..).unwrap_or_default()) {
+        Ok(flags) => flags,
+        Err(err) => usage_error(&err),
+    };
+    let hours = flags.number("--hours").unwrap_or(80);
+    let seed = flags.number("--seed").unwrap_or(42);
+    let jobs = xp::pool::effective_jobs(flags.number("--jobs").unwrap_or(0) as usize);
     // Intra-run worker threads for the per-server tick phase. Defaults to 1
     // (fully sequential); output is bit-identical at any width.
-    let inner_jobs = flag(&args, "--inner-jobs").unwrap_or(1) as usize;
-    // Advisor scoring path. CI renders the figures under `--scoring scalar`
-    // and diffs them against the batched default to prove equivalence.
-    let scoring = match str_flag(&args, "--scoring").as_deref() {
-        None | Some("batched") => ScoringMode::Batched,
-        Some("scalar") => ScoringMode::Scalar,
-        Some(other) => {
-            eprintln!("unknown --scoring value {other:?}; expected scalar or batched");
-            std::process::exit(2);
-        }
-    };
-    // Control-plane replication mode for the shard experiments. CI renders
-    // the shard-smoke digest under `--replication full` and diffs it
-    // against the delta default to prove equivalence.
-    let replication = match str_flag(&args, "--replication").as_deref() {
-        None | Some("delta") => ReplicationMode::Delta,
-        Some("full") => ReplicationMode::Full,
-        Some(other) => {
-            eprintln!("unknown --replication value {other:?}; expected full or delta");
-            std::process::exit(2);
-        }
-    };
+    let inner_jobs = flags.number("--inner-jobs").unwrap_or(1) as usize;
 
-    fs::create_dir_all("results").expect("create results dir");
     let mut timings = Timings::new(jobs, hours, seed);
 
     match command {
@@ -64,7 +62,7 @@ fn main() {
         "fig10" => timings.record("fig10", run_fig10),
         "inventory" => timings.record("inventory", || println!("{}", xp::inventory())),
         "fig12" => timings.record("fig12", || {
-            run_scenario_figure("fig12", Scenario::Static, hours, seed, inner_jobs, scoring)
+            run_scenario_figure("fig12", Scenario::Static, hours, seed, inner_jobs)
         }),
         "fig13" => timings.record("fig13", || {
             run_scenario_figure(
@@ -73,21 +71,13 @@ fn main() {
                 hours,
                 seed,
                 inner_jobs,
-                scoring,
             )
         }),
         "fig14" => timings.record("fig14", || {
-            run_scenario_figure(
-                "fig14",
-                Scenario::FullMobility,
-                hours,
-                seed,
-                inner_jobs,
-                scoring,
-            )
+            run_scenario_figure("fig14", Scenario::FullMobility, hours, seed, inner_jobs)
         }),
         "fig15" => timings.record("fig15", || {
-            run_fi_figure("fig15", Scenario::Static, hours, seed, inner_jobs, scoring)
+            run_fi_figure("fig15", Scenario::Static, hours, seed, inner_jobs)
         }),
         "fig16" => timings.record("fig16", || {
             run_fi_figure(
@@ -96,31 +86,18 @@ fn main() {
                 hours,
                 seed,
                 inner_jobs,
-                scoring,
             )
         }),
         "fig17" => timings.record("fig17", || {
-            run_fi_figure(
-                "fig17",
-                Scenario::FullMobility,
-                hours,
-                seed,
-                inner_jobs,
-                scoring,
-            )
-        }),
-        "bench" => timings.record("bench", || run_bench(hours, seed)),
-        "scale" => timings.record("scale", || {
-            // The ladder's long pole is the 2,000-server rung; default to a
-            // short simulated window unless --hours was given explicitly.
-            let hours = flag(&args, "--hours").unwrap_or(2);
-            let repeats = flag(&args, "--repeats").unwrap_or(3) as u32;
-            run_scale(hours, seed, repeats)
+            run_fi_figure("fig17", Scenario::FullMobility, hours, seed, inner_jobs)
         }),
         "scale-smoke" => timings.record("scale-smoke", || {
-            let servers = flag(&args, "--servers").unwrap_or(200) as usize;
-            let hours = flag(&args, "--hours").unwrap_or(2);
-            run_scale_smoke(servers, hours, seed, inner_jobs, scoring)
+            // 600 servers split the per-server phase into three real lanes
+            // at --inner-jobs 4; CI diffs the digest against --inner-jobs 1.
+            let servers = flags.number("--servers").unwrap_or(600) as usize;
+            let hours = flags.number("--hours").unwrap_or(2);
+            let digest = xp::scale_smoke(servers, hours, seed, inner_jobs);
+            write(&format!("results/scale_smoke_{servers}.csv"), &digest);
         }),
         "table7" => timings.record("table7", || run_table7(hours, seed, jobs)),
         "chaos" => timings.record("chaos", || run_chaos(hours, seed, jobs)),
@@ -128,24 +105,17 @@ fn main() {
             // For shardchaos, --shards widens the plane's scoped-thread
             // fan-out (output-neutral); the shard counts of the sweep
             // points are the experiment's ladder and are fixed.
-            let plane_jobs = flag(&args, "--shards").unwrap_or(1) as usize;
-            run_shard_chaos(hours, seed, jobs, plane_jobs, replication)
+            let plane_jobs = flags.number("--shards").unwrap_or(1) as usize;
+            run_shard_chaos(hours, seed, jobs, plane_jobs)
         }),
         "shard-smoke" => timings.record("shard-smoke", || {
             // Here --shards IS the shard count: CI diffs the digest at
-            // --shards 1 against --shards 4 (and --replication full
-            // against delta) to prove partitioning and delta replication
-            // are invisible to the paper scenarios.
-            let shards = flag(&args, "--shards").unwrap_or(1) as usize;
-            let hours = flag(&args, "--hours").unwrap_or(6);
-            run_shard_smoke(shards, hours, seed, jobs, replication)
-        }),
-        "shard-scale" => timings.record("shard-scale", || {
-            // The 2,000-server rung dominates; keep the default window
-            // short like the scale ladder's.
-            let hours = flag(&args, "--hours").unwrap_or(2);
-            let repeats = flag(&args, "--repeats").unwrap_or(3) as u32;
-            run_shard_scale(hours, seed, repeats)
+            // --shards 1 against --shards 4 to prove partitioning is
+            // invisible to the paper scenarios.
+            let shards = flags.number("--shards").unwrap_or(1) as usize;
+            let hours = flags.number("--hours").unwrap_or(6);
+            let digest = xp::shard_smoke(shards, hours, seed, jobs);
+            write("results/shard_smoke.csv", &digest);
         }),
         "proactive" => timings.record("proactive", || run_proactive(hours, seed, jobs)),
         "scenarios" => timings.record("scenarios", || {
@@ -154,13 +124,12 @@ fn main() {
             // a 48 h window unless --hours was given explicitly. --shards
             // sizes the sharded rows' control plane (output-neutral, like
             // --jobs): CI diffs the CSV across both knobs.
-            let hours = flag(&args, "--hours").unwrap_or(48);
-            let shards = flag(&args, "--shards").unwrap_or(1) as usize;
+            let hours = flags.number("--hours").unwrap_or(48);
+            let shards = flags.number("--shards").unwrap_or(1) as usize;
             // --scenario narrows the suite to one entry, resolved through
             // the same lookup the catalog uses — paper names ("static",
             // "constrained-mobility", "full-mobility") work too.
-            let only = str_flag(&args, "--scenario");
-            run_scenarios(hours, seed, jobs, shards, only.as_deref())
+            run_scenarios(hours, seed, jobs, shards, flags.scenario.as_deref())
         }),
         "designer" => timings.record("designer", run_designer),
         "ablation" => timings.record("ablation", || run_ablation(hours.min(30))),
@@ -190,46 +159,70 @@ fn main() {
             }
             timings.record("table7", || run_table7(hours, seed, jobs));
             timings.record("chaos", || run_chaos(hours, seed, jobs));
-            timings.record("shardchaos", || {
-                run_shard_chaos(hours, seed, jobs, 1, replication)
-            });
+            timings.record("shardchaos", || run_shard_chaos(hours, seed, jobs, 1));
             timings.record("proactive", || run_proactive(hours, seed, jobs));
             timings.record("scenarios", || run_scenarios(48, seed, jobs, 1, None));
             timings.record("designer", run_designer);
             timings.record("ablation", || run_ablation(hours.min(30)));
         }
-        _ => {
-            eprintln!(
-                "usage: experiments <fig3|fig5|tables|fig10|inventory|fig12|fig13|fig14|\
-                 fig15|fig16|fig17|bench|scale|scale-smoke|table7|chaos|shardchaos|\
-                 shard-smoke|shard-scale|proactive|scenarios|designer|ablation|all> [--hours N] \
-                 [--seed N] [--jobs N] [--inner-jobs N] [--repeats N] [--servers N] \
-                 [--shards N] [--scenario NAME] [--scoring scalar|batched] \
-                 [--replication full|delta]"
-            );
-            std::process::exit(2);
-        }
+        _ => usage_error(&format!("unknown command {command:?}")),
     }
 
     timings.write_csv();
 }
 
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// Print `err` and the usage, then exit with status 2.
+fn usage_error(err: &str) -> ! {
+    eprintln!("experiments: {err}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
-fn str_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The flags after the command, checked by [`Flags::parse`].
+#[derive(Default)]
+struct Flags {
+    numbers: BTreeMap<&'static str, u64>,
+    scenario: Option<String>,
+}
+
+impl Flags {
+    /// Every argument must be a known `--name` followed by its value; a
+    /// number flag's value must parse, and no flag may repeat.
+    fn parse(args: &[String]) -> Result<Flags, String> {
+        let mut flags = Flags::default();
+        let mut args = args.iter();
+        while let Some(name) = args.next() {
+            let number_flag = NUMBER_FLAGS.iter().find(|&&known| known == name);
+            if number_flag.is_none() && name != "--scenario" {
+                return Err(format!("unknown flag {name:?}"));
+            }
+            let value = args.next().ok_or(format!("{name} needs a value"))?;
+            let repeated = match number_flag {
+                Some(&known) => {
+                    let number = value.parse().map_err(|_| {
+                        format!("{name} takes a non-negative integer, got {value:?}")
+                    })?;
+                    flags.numbers.insert(known, number).is_some()
+                }
+                None => flags.scenario.replace(value.clone()).is_some(),
+            };
+            if repeated {
+                return Err(format!("{name} given twice"));
+            }
+        }
+        Ok(flags)
+    }
+
+    fn number(&self, name: &str) -> Option<u64> {
+        self.numbers.get(name).copied()
+    }
 }
 
 fn write(path: &str, contents: &str) {
-    fs::write(Path::new(path), contents).expect("write results file");
+    if let Some(dir) = Path::new(path).parent() {
+        fs::create_dir_all(dir).expect("create results dir");
+    }
+    fs::write(path, contents).expect("write results file");
     println!("wrote {path} ({} lines)", contents.lines().count());
 }
 
@@ -323,104 +316,15 @@ fn render_fi_figure(name: &str, scenario: Scenario, metrics: &Metrics) {
     summarize(name, scenario, metrics);
 }
 
-fn run_scenario_figure(
-    name: &str,
-    scenario: Scenario,
-    hours: u64,
-    seed: u64,
-    inner_jobs: usize,
-    scoring: ScoringMode,
-) {
+fn run_scenario_figure(name: &str, scenario: Scenario, hours: u64, seed: u64, inner_jobs: usize) {
     // The paper's Figures 12–14 run at +15 % users.
-    let metrics = xp::scenario_run_scored(scenario, 1.15, hours, seed, inner_jobs, scoring);
+    let metrics = xp::scenario_run_at(scenario, 1.15, hours, seed, inner_jobs);
     render_scenario_figure(name, scenario, &metrics);
 }
 
-fn run_fi_figure(
-    name: &str,
-    scenario: Scenario,
-    hours: u64,
-    seed: u64,
-    inner_jobs: usize,
-    scoring: ScoringMode,
-) {
-    let metrics = xp::scenario_run_scored(scenario, 1.15, hours, seed, inner_jobs, scoring);
+fn run_fi_figure(name: &str, scenario: Scenario, hours: u64, seed: u64, inner_jobs: usize) {
+    let metrics = xp::scenario_run_at(scenario, 1.15, hours, seed, inner_jobs);
     render_fi_figure(name, scenario, &metrics);
-}
-
-fn run_bench(hours: u64, seed: u64) {
-    let previous = fs::read_to_string("results/BENCH_tick.json")
-        .ok()
-        .and_then(|json| xp::bench_single_thread_ticks_per_sec(&json));
-    // Short horizons mean millisecond-scale runs, where best-of-5 is still
-    // noisy; spend roughly constant sampling time by repeating more often.
-    let repeats = (400 / hours.max(1)).clamp(5, 100) as u32;
-    let json = xp::bench_tick_report(hours, seed, repeats, previous);
-    let single = xp::bench_single_thread_ticks_per_sec(&json).unwrap_or(0.0);
-    println!("Tick benchmark — Figure 13 scenario, {hours} h, best of {repeats}:");
-    println!("  single-thread: {single:.0} ticks/sec");
-    if let Some(prev) = previous {
-        println!(
-            "  previous:      {prev:.0} ticks/sec ({:.2}x)",
-            single / prev
-        );
-    }
-    write("results/BENCH_tick.json", &json);
-    // The fix this report once disproved must stay fixed: no multi-lane
-    // width may fall below the single-thread throughput beyond noise.
-    if let Err(err) = xp::check_inner_jobs_no_regression(&json, 0.10) {
-        eprintln!("inner-jobs regression detected: {err}");
-        std::process::exit(1);
-    }
-    // Likewise the batched advisor path: it must keep up with the scalar
-    // seed path (and decide identically) on every trigger rung.
-    if let Err(err) = xp::check_triggers_no_regression(&json, 0.10) {
-        eprintln!("trigger-throughput regression detected: {err}");
-        std::process::exit(1);
-    }
-    // And the sharded control plane: if a shard-scale report is checked
-    // in, delta replication must still match full replication byte for
-    // byte and must not be slower at the largest point.
-    if let Ok(shard_json) = fs::read_to_string("results/BENCH_shard_scale.json") {
-        if let Err(err) = xp::check_shard_scale_no_regression(&shard_json) {
-            eprintln!("shard-scale regression detected: {err}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn run_scale(hours: u64, seed: u64, repeats: u32) {
-    println!(
-        "Scale ladder — paper pool to ~100x synthetic landscapes \
-         ({hours} h per rung, best of {repeats}):"
-    );
-    let (rungs, json) = xp::bench_scale_report(hours, seed, repeats);
-    for r in &rungs {
-        println!(
-            "  {:>4} servers ({:>4} services, {:>4} instances, {:>9.0} users): \
-             {:>8.1} ticks/s, decision {:>8.1} us, rank idx {:>8.1} us vs scan {:>9.1} us, \
-             identical: {}",
-            r.servers,
-            r.services,
-            r.instances,
-            r.users,
-            r.ticks_per_sec,
-            r.mean_decision_us,
-            r.mean_rank_indexed_us,
-            r.mean_rank_exhaustive_us,
-            r.indexed_matches_exhaustive,
-        );
-    }
-    write("results/BENCH_scale.json", &json);
-    if rungs.iter().any(|r| !r.indexed_matches_exhaustive) {
-        eprintln!("indexed host ranking diverged from the exhaustive scan");
-        std::process::exit(1);
-    }
-}
-
-fn run_scale_smoke(servers: usize, hours: u64, seed: u64, inner_jobs: usize, scoring: ScoringMode) {
-    let digest = xp::scale_smoke_scored(servers, hours, seed, inner_jobs, scoring);
-    write(&format!("results/scale_smoke_{servers}.csv"), &digest);
 }
 
 fn run_table7(hours: u64, seed: u64, jobs: usize) {
@@ -469,19 +373,13 @@ fn run_chaos(hours: u64, seed: u64, jobs: usize) {
     write("results/chaos_recovery.csv", &xp::chaos_csv(&rows));
 }
 
-fn run_shard_chaos(
-    hours: u64,
-    seed: u64,
-    jobs: usize,
-    plane_jobs: usize,
-    replication: ReplicationMode,
-) {
+fn run_shard_chaos(hours: u64, seed: u64, jobs: usize, plane_jobs: usize) {
     println!(
         "Shard chaos sweep — Figure 13 scenario on a sharded control plane \
          with host failures and owner kills ({hours} h per point, {jobs} job(s), \
-         plane fan-out {plane_jobs}, {replication:?} replication):"
+         plane fan-out {plane_jobs}, delta replication):"
     );
-    let rows = xp::shard_chaos_sweep(hours, seed, jobs, plane_jobs, replication);
+    let rows = xp::shard_chaos_sweep(hours, seed, jobs, plane_jobs);
     for (shards, kills, m, s) in &rows {
         println!(
             "  {shards} shard(s), {kills} kill(s): {:>2} owner detections \
@@ -501,43 +399,6 @@ fn run_shard_chaos(
         );
     }
     write("results/shard_recovery.csv", &xp::shard_chaos_csv(&rows));
-}
-
-fn run_shard_smoke(
-    shards: usize,
-    hours: u64,
-    seed: u64,
-    plane_jobs: usize,
-    replication: ReplicationMode,
-) {
-    let digest = xp::shard_smoke(shards, hours, seed, plane_jobs, replication);
-    write("results/shard_smoke.csv", &digest);
-}
-
-fn run_shard_scale(hours: u64, seed: u64, repeats: u32) {
-    println!(
-        "Shard-scale benchmark — full-stream vs delta replication on the \
-         sharded control plane, plane fan-out 1 so wall clock sums the \
-         per-replica work ({hours} h per point, best of {repeats}):"
-    );
-    let (points, json) = xp::shard_scale_report(hours, seed, repeats);
-    for p in &points {
-        println!(
-            "  {:>4} servers x {} shard(s): full {:>8.1} ticks/s, delta {:>8.1} ticks/s \
-             ({:>5.2}x), identical: {}",
-            p.servers,
-            p.shards,
-            p.full_ticks_per_sec,
-            p.delta_ticks_per_sec,
-            p.delta_speedup,
-            p.delta_matches_full,
-        );
-    }
-    write("results/BENCH_shard_scale.json", &json);
-    if let Err(err) = xp::check_shard_scale_no_regression(&json) {
-        eprintln!("shard-scale regression detected: {err}");
-        std::process::exit(1);
-    }
 }
 
 fn run_proactive(hours: u64, seed: u64, jobs: usize) {

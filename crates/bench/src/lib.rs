@@ -21,12 +21,11 @@
 pub use autoglobe_pool as pool;
 
 use autoglobe::forecast::ProactiveConfig;
-use autoglobe::{ReplicationMode, RunBuilder, ShardChaos, ShardRecoveryStats};
-use autoglobe_controller::inputs::TableLoads;
-use autoglobe_controller::{ControllerConfig, ExecutorConfig, ScoringMode};
+use autoglobe::{RunBuilder, ShardChaos, ShardRecoveryStats};
+use autoglobe_controller::{ControllerConfig, ExecutorConfig};
 use autoglobe_fuzzy::{Defuzzifier, Engine, EngineConfig, InferenceMethod, LinguisticVariable};
-use autoglobe_landscape::{ActionKind, ServerId, SynthConfig};
-use autoglobe_monitor::{SimDuration, SimTime, Subject, TriggerEvent, TriggerKind};
+use autoglobe_landscape::{ServerId, SynthConfig};
+use autoglobe_monitor::SimDuration;
 use autoglobe_rng::splitmix64;
 use autoglobe_simulator::{
     build_environment, find_max_users, sap, synth_environment, CapacityCriterion, DailyPattern,
@@ -248,34 +247,11 @@ pub fn scenario_run_at(
     seed: u64,
     inner_jobs: usize,
 ) -> Metrics {
-    scenario_run_scored(
-        scenario,
-        multiplier,
-        hours,
-        seed,
-        inner_jobs,
-        ScoringMode::default(),
-    )
-}
-
-/// [`scenario_run_at`] with an explicit advisor [`ScoringMode`]. CI diffs
-/// the rendered figures at `ScoringMode::Scalar` against the batched
-/// default to prove the batch path reproduces the paper results byte for
-/// byte.
-pub fn scenario_run_scored(
-    scenario: Scenario,
-    multiplier: f64,
-    hours: u64,
-    seed: u64,
-    inner_jobs: usize,
-    scoring: ScoringMode,
-) -> Metrics {
     let env = build_environment(scenario);
-    let mut config = SimConfig::paper(scenario, multiplier)
+    let config = SimConfig::paper(scenario, multiplier)
         .with_duration(SimDuration::from_hours(hours))
         .with_seed(seed)
         .with_inner_jobs(inner_jobs);
-    config.controller.scoring = scoring;
     Simulation::new(env, config).run()
 }
 
@@ -667,7 +643,6 @@ pub fn shard_chaos_run(
     hours: u64,
     seed: u64,
     plane_jobs: usize,
-    replication: ReplicationMode,
 ) -> (Metrics, ShardRecoveryStats) {
     let chaos = ShardChaos {
         server_failure_per_hour: SHARD_CHAOS_SERVER_FAILURE_PER_HOUR,
@@ -692,7 +667,6 @@ pub fn shard_chaos_run(
         .shards(shards)
         .plane_jobs(plane_jobs)
         .shard_chaos(chaos)
-        .replication(replication)
         .sharded()
         .run()
 }
@@ -706,7 +680,6 @@ pub fn shard_chaos_sweep(
     seed: u64,
     jobs: usize,
     plane_jobs: usize,
-    replication: ReplicationMode,
 ) -> Vec<(usize, usize, Metrics, ShardRecoveryStats)> {
     let mut state = seed ^ 0x5EED_0A11_D05E; // shard-chaos seed domain
     let points: Vec<((usize, usize), u64)> = SHARD_CHAOS_LADDER
@@ -714,8 +687,7 @@ pub fn shard_chaos_sweep(
         .map(|&point| (point, splitmix64(&mut state)))
         .collect();
     pool::parallel_map(jobs, points, move |((shards, kills), point_seed)| {
-        let (metrics, stats) =
-            shard_chaos_run(shards, kills, hours, point_seed, plane_jobs, replication);
+        let (metrics, stats) = shard_chaos_run(shards, kills, hours, point_seed, plane_jobs);
         (shards, kills, metrics, stats)
     })
 }
@@ -759,33 +731,26 @@ pub fn shard_chaos_csv(rows: &[(usize, usize, Metrics, ShardRecoveryStats)]) -> 
 
 /// A byte-diffable digest of the Figure 13 scenario run on a `shards`-way
 /// control plane under ideal conditions (no chaos, the default reliable
-/// substrate). The digest deliberately omits the shard count *and* the
-/// replication mode: CI diffs the `--shards 1` digest against `--shards 4`
-/// and `--replication full` against `--replication delta` to prove both the
-/// partitioning and the delta-replication fast path are invisible to the
-/// paper's scenarios. Every float is rendered as exact bits, so any
-/// divergence — however small — shows up as a byte difference.
-pub fn shard_smoke(
-    shards: usize,
-    hours: u64,
-    seed: u64,
-    plane_jobs: usize,
-    replication: ReplicationMode,
-) -> String {
+/// substrate). The digest deliberately omits the shard count: CI diffs the
+/// `--shards 1` digest against `--shards 4` to prove the partitioning is
+/// invisible to the paper's scenarios. Every float is rendered as exact
+/// bits, so any divergence — however small — shows up as a byte
+/// difference.
+pub fn shard_smoke(shards: usize, hours: u64, seed: u64, plane_jobs: usize) -> String {
     let (metrics, _) = RunBuilder::new(Scenario::ConstrainedMobility)
         .hours(hours)
         .seed(seed)
         .shards(shards)
         .plane_jobs(plane_jobs)
-        .replication(replication)
         .sharded()
         .run();
     metrics_digest(&metrics)
 }
 
 /// The byte-diffable scenario digest shared by [`shard_smoke`] and the
-/// shard-scale equivalence check: action count, alerts, overload seconds,
-/// the total-demand float as exact bits, and every action record in order.
+/// scenario-suite determinism test: action count, alerts, overload
+/// seconds, the total-demand float as exact bits, and every action record
+/// in order.
 pub fn metrics_digest(metrics: &Metrics) -> String {
     let mut out = String::from("metric,value\n");
     writeln!(out, "actions,{}", metrics.actions.len()).unwrap();
@@ -801,193 +766,6 @@ pub fn metrics_digest(metrics: &Metrics) -> String {
         writeln!(out, "action,{record}").unwrap();
     }
     out
-}
-
-// ---- shard scale -----------------------------------------------------------
-
-/// Landscape sizes of the shard-scale benchmark (`results/
-/// BENCH_shard_scale.json`): the mid-size synthetic landscape and the
-/// 100× rung of the scale ladder.
-pub const SHARD_SCALE_SERVERS: [usize; 2] = [200, 2000];
-
-/// Shard counts of the shard-scale benchmark.
-pub const SHARD_SCALE_SHARDS: [usize; 3] = [1, 2, 4];
-
-/// One measured point of the shard-scale benchmark: full-stream vs delta
-/// replication throughput of a `shards`-way control plane on a `servers`
-/// landscape.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardScalePoint {
-    /// Servers in the landscape.
-    pub servers: usize,
-    /// Supervisor replicas / initial shard owners on the plane.
-    pub shards: usize,
-    /// Ticks per second with every replica ingesting the full measurement
-    /// stream (the seed replication mode, kept as the reference path).
-    pub full_ticks_per_sec: f64,
-    /// Ticks per second with owner-scoped ingestion + compact deltas.
-    pub delta_ticks_per_sec: f64,
-    /// `full best / delta best` wall clock — how much per-replica work the
-    /// delta path saves at this point.
-    pub delta_speedup: f64,
-    /// Whether the two modes produced byte-identical scenario digests.
-    pub delta_matches_full: bool,
-}
-
-/// Measure one point of the shard-scale benchmark. The plane runs with
-/// `plane_jobs = 1`, so the wall clock is the *sum* of per-replica work —
-/// exactly the quantity the delta path shrinks from `shards × O(landscape)`
-/// to `O(landscape)` + routing. Full and delta repeats are interleaved so
-/// machine drift cannot bias one mode, and the first repeat of each mode
-/// is digested to prove the modes agree byte for byte.
-pub fn shard_scale_point(
-    servers: usize,
-    shards: usize,
-    hours: u64,
-    seed: u64,
-    repeats: u32,
-) -> ShardScalePoint {
-    use std::time::Instant;
-    let repeats = repeats.max(1);
-    let sim = SimConfig::paper(Scenario::ConstrainedMobility, 1.0)
-        .with_duration(SimDuration::from_hours(hours))
-        .with_seed(seed);
-    let ticks = sim.num_ticks();
-    let run = |replication: ReplicationMode| {
-        let env = scale_environment(servers, seed);
-        let start = Instant::now();
-        let (metrics, _) = RunBuilder::new(Scenario::ConstrainedMobility)
-            .sim(sim.clone())
-            .environment(env)
-            .shards(shards)
-            .replication(replication)
-            .sharded()
-            .run();
-        (start.elapsed().as_secs_f64(), metrics)
-    };
-    let mut best_full = f64::INFINITY;
-    let mut best_delta = f64::INFINITY;
-    let mut digests = None;
-    for _ in 0..repeats {
-        let (secs, full) = run(ReplicationMode::Full);
-        best_full = best_full.min(secs);
-        let (secs, delta) = run(ReplicationMode::Delta);
-        best_delta = best_delta.min(secs);
-        if digests.is_none() {
-            digests = Some((metrics_digest(&full), metrics_digest(&delta)));
-        }
-    }
-    let (full_digest, delta_digest) = digests.expect("repeats >= 1");
-    ShardScalePoint {
-        servers,
-        shards,
-        full_ticks_per_sec: ticks as f64 / best_full,
-        delta_ticks_per_sec: ticks as f64 / best_delta,
-        delta_speedup: best_full / best_delta,
-        delta_matches_full: full_digest == delta_digest,
-    }
-}
-
-/// The shard-scale benchmark behind `results/BENCH_shard_scale.json`:
-/// every [`SHARD_SCALE_SERVERS`] × [`SHARD_SCALE_SHARDS`] point, with
-/// per-rung seeds derived from the master `seed` by a splitmix64 chain.
-/// Returns the points and the rendered JSON.
-pub fn shard_scale_report(hours: u64, seed: u64, repeats: u32) -> (Vec<ShardScalePoint>, String) {
-    let mut state = seed ^ 0x5EED_5CA1_ED00; // shard-scale seed domain
-    let mut points = Vec::new();
-    for &servers in &SHARD_SCALE_SERVERS {
-        let rung_seed = splitmix64(&mut state);
-        for &shards in &SHARD_SCALE_SHARDS {
-            points.push(shard_scale_point(
-                servers, shards, hours, rung_seed, repeats,
-            ));
-        }
-    }
-    let mut out = String::from("{\n");
-    writeln!(out, "  \"schema\": 1,").unwrap();
-    writeln!(
-        out,
-        "  \"scenario\": \"{}\",",
-        Scenario::ConstrainedMobility.name()
-    )
-    .unwrap();
-    writeln!(out, "  \"user_multiplier\": 1.0,").unwrap();
-    writeln!(out, "  \"hours\": {hours},").unwrap();
-    writeln!(out, "  \"seed\": {seed},").unwrap();
-    writeln!(out, "  \"repeats\": {},", repeats.max(1)).unwrap();
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        writeln!(
-            out,
-            "    {{\"servers\": {}, \"shards\": {}, \"full_ticks_per_sec\": {:.1}, \
-             \"delta_ticks_per_sec\": {:.1}, \"delta_speedup\": {:.3}, \
-             \"delta_matches_full\": {}}}{comma}",
-            p.servers,
-            p.shards,
-            p.full_ticks_per_sec,
-            p.delta_ticks_per_sec,
-            p.delta_speedup,
-            p.delta_matches_full,
-        )
-        .unwrap();
-    }
-    out.push_str("  ]\n}\n");
-    (points, out)
-}
-
-/// Check a [`shard_scale_report`] JSON: every point must show the delta
-/// and full modes agreeing byte for byte, and at the largest point
-/// (most servers, most shards — where owner-scoped ingestion has the
-/// most replicated work to save) delta replication must not be slower
-/// than full replication. Returns the offending rows on failure.
-pub fn check_shard_scale_no_regression(json: &str) -> Result<(), String> {
-    let mut offenders = Vec::new();
-    let mut rows: Vec<(u64, u64, f64, f64)> = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find("{\"servers\":") {
-        let row = &rest[at..];
-        let end = row.find('}').unwrap_or(row.len());
-        let row = &row[..end];
-        let field = |key: &str| -> Option<f64> {
-            let v = &row[row.find(key)? + key.len()..];
-            let stop = v.find([',', '}']).unwrap_or(v.len());
-            v[..stop].trim().parse().ok()
-        };
-        if let (Some(servers), Some(shards), Some(full), Some(delta)) = (
-            field("\"servers\":"),
-            field("\"shards\":"),
-            field("\"full_ticks_per_sec\":"),
-            field("\"delta_ticks_per_sec\":"),
-        ) {
-            rows.push((servers as u64, shards as u64, full, delta));
-            if row.contains("\"delta_matches_full\": false") {
-                offenders.push(format!(
-                    "servers {servers:.0} shards {shards:.0}: delta replication \
-                     diverged from full"
-                ));
-            }
-        }
-        rest = &rest[at + end..];
-    }
-    if rows.is_empty() {
-        return Err("no shard-scale points in the report".into());
-    }
-    let &(servers, shards, full, delta) = rows
-        .iter()
-        .max_by_key(|&&(servers, shards, _, _)| (servers, shards))
-        .expect("rows is non-empty");
-    if shards > 1 && delta < full {
-        offenders.push(format!(
-            "servers {servers} shards {shards}: delta {delta:.1} ticks/s slower \
-             than full {full:.1}"
-        ));
-    }
-    if offenders.is_empty() {
-        Ok(())
-    } else {
-        Err(offenders.join("; "))
-    }
 }
 
 /// Fastest dispatch-to-completion time of the proactive experiment's
@@ -1313,452 +1091,8 @@ pub fn ablation_timing(hours: u64) -> Vec<(String, usize, u64)> {
     rows
 }
 
-// ---- bench trajectory ------------------------------------------------------
-
-/// Intra-run worker widths measured by [`bench_tick_report`].
-pub const BENCH_INNER_JOBS: [usize; 3] = [1, 2, 4];
-
-/// One timed configuration of the tick benchmark.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchPoint {
-    /// `SimConfig::inner_jobs` of the measured run.
-    pub inner_jobs: usize,
-    /// Best wall-clock seconds over the repeats.
-    pub best_secs: f64,
-    /// Simulation ticks per wall-clock second at the best repeat.
-    pub ticks_per_sec: f64,
-}
-
-/// The tick-throughput measurement behind `results/BENCH_tick.json`:
-/// best-of-`repeats` wall clock of the Figure 13 scenario (constrained
-/// mobility, +15 % users) at each width in [`BENCH_INNER_JOBS`], plus the
-/// wall clock of each per-server figure scenario. `previous` is the
-/// single-thread ticks/sec of the last checked-in report (if any), so the
-/// emitted JSON carries its own trajectory: every regeneration records the
-/// speedup against the number it replaces.
-pub fn bench_tick_report(hours: u64, seed: u64, repeats: u32, previous: Option<f64>) -> String {
-    use std::time::Instant;
-    let scenario = Scenario::ConstrainedMobility;
-    let base = SimConfig::paper(scenario, 1.15)
-        .with_duration(SimDuration::from_hours(hours))
-        .with_seed(seed);
-    let ticks = base.num_ticks();
-
-    // Interleave the repeats round-robin across the widths: the runs are
-    // short (tens of milliseconds), so measuring one width's repeats
-    // back-to-back would fold any slow drift of the machine (frequency
-    // scaling, cgroup throttling) into a systematic bias against whichever
-    // width happens to run last.
-    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); BENCH_INNER_JOBS.len()];
-    for _ in 0..repeats.max(1) {
-        for (slot, &inner_jobs) in BENCH_INNER_JOBS.iter().enumerate() {
-            let env = build_environment(scenario);
-            let config = base.clone().with_inner_jobs(inner_jobs);
-            let start = Instant::now();
-            let metrics = Simulation::new(env, config).run();
-            let secs = start.elapsed().as_secs_f64();
-            std::hint::black_box(&metrics);
-            samples[slot].push(secs);
-        }
-    }
-    let scaling: Vec<BenchPoint> = BENCH_INNER_JOBS
-        .iter()
-        .zip(&samples)
-        .map(|(&inner_jobs, times)| {
-            let best_secs = times.iter().copied().fold(f64::INFINITY, f64::min);
-            BenchPoint {
-                inner_jobs,
-                best_secs,
-                ticks_per_sec: ticks as f64 / best_secs,
-            }
-        })
-        .collect();
-    let single = scaling[0].ticks_per_sec;
-    let noise = measurement_noise(&samples);
-
-    let mut figures = Vec::new();
-    for (figure, scenario) in [
-        ("fig12", Scenario::Static),
-        ("fig13", Scenario::ConstrainedMobility),
-        ("fig14", Scenario::FullMobility),
-    ] {
-        let start = Instant::now();
-        let metrics = scenario_run(scenario, 1.15, hours, seed);
-        let secs = start.elapsed().as_secs_f64();
-        std::hint::black_box(&metrics);
-        figures.push((figure, scenario.name(), secs));
-    }
-
-    let mut out = String::from("{\n");
-    writeln!(out, "  \"schema\": 1,").unwrap();
-    writeln!(out, "  \"scenario\": \"{}\",", scenario.name()).unwrap();
-    writeln!(out, "  \"user_multiplier\": 1.15,").unwrap();
-    writeln!(out, "  \"hours\": {hours},").unwrap();
-    writeln!(out, "  \"ticks\": {ticks},").unwrap();
-    writeln!(out, "  \"seed\": {seed},").unwrap();
-    writeln!(out, "  \"repeats\": {},", repeats.max(1)).unwrap();
-    writeln!(out, "  \"measurement_noise\": {noise:.4},").unwrap();
-    writeln!(out, "  \"single_thread_ticks_per_sec\": {single:.1},").unwrap();
-    match previous {
-        Some(prev) if prev > 0.0 => {
-            writeln!(
-                out,
-                "  \"previous_single_thread_ticks_per_sec\": {prev:.1},"
-            )
-            .unwrap();
-            writeln!(out, "  \"speedup_vs_previous\": {:.3},", single / prev).unwrap();
-        }
-        _ => {
-            writeln!(out, "  \"previous_single_thread_ticks_per_sec\": null,").unwrap();
-            writeln!(out, "  \"speedup_vs_previous\": null,").unwrap();
-        }
-    }
-    out.push_str("  \"inner_jobs_scaling\": [\n");
-    for (i, p) in scaling.iter().enumerate() {
-        let comma = if i + 1 < scaling.len() { "," } else { "" };
-        writeln!(
-            out,
-            "    {{\"inner_jobs\": {}, \"best_secs\": {:.4}, \"ticks_per_sec\": {:.1}}}{comma}",
-            p.inner_jobs, p.best_secs, p.ticks_per_sec
-        )
-        .unwrap();
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"figure_wall_clock\": [\n");
-    for (i, (figure, name, secs)) in figures.iter().enumerate() {
-        let comma = if i + 1 < figures.len() { "," } else { "" };
-        writeln!(
-            out,
-            "    {{\"figure\": \"{figure}\", \"scenario\": \"{name}\", \"secs\": {secs:.4}}}{comma}"
-        )
-        .unwrap();
-    }
-    out.push_str("  ],\n");
-
-    // Trigger-decision throughput: the batched column-wise advisor path and
-    // its warm incremental layer against the seed scalar path, across the
-    // scale ladder. Trigger measurements are far cheaper than the full
-    // simulations above, but the 2,000-server rung still plans hundreds of
-    // decisions per repeat — cap the repeats independently.
-    let trigger_repeats = repeats.clamp(1, 20);
-    let trigger_rungs: Vec<TriggerRung> = TRIGGER_RUNGS
-        .iter()
-        .map(|&servers| trigger_rung(servers, seed, trigger_repeats))
-        .collect();
-    out.push_str("  \"triggers_per_second\": [\n");
-    for (i, r) in trigger_rungs.iter().enumerate() {
-        let comma = if i + 1 < trigger_rungs.len() { "," } else { "" };
-        writeln!(
-            out,
-            "    {{\"servers\": {}, \"scalar_triggers_per_sec\": {:.1}, \
-             \"batched_triggers_per_sec\": {:.1}, \
-             \"incremental_triggers_per_sec\": {:.1}, \
-             \"batched_matches_scalar\": {}}}{comma}",
-            r.servers,
-            r.scalar_triggers_per_sec,
-            r.batched_triggers_per_sec,
-            r.incremental_triggers_per_sec,
-            r.batched_matches_scalar,
-        )
-        .unwrap();
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Relative measurement noise across interleaved repeats of the same
-/// configurations: the worst `(median − best) / median` over the sample
-/// sets. Near zero on a quiet machine, climbing toward the container's
-/// jitter when repeats of the *same* configuration disagree — exactly the
-/// signal that separates "the code got slower" from "the machine got
-/// noisier". The regression checkers widen their tolerance by this figure
-/// so a noisy CI container doesn't flag a phantom regression.
-fn measurement_noise(samples: &[Vec<f64>]) -> f64 {
-    samples
-        .iter()
-        .filter(|s| s.len() >= 2)
-        .map(|s| {
-            let mut sorted = s.clone();
-            sorted.sort_by(f64::total_cmp);
-            let best = sorted[0];
-            let median = sorted[sorted.len() / 2];
-            if median > 0.0 {
-                (median - best) / median
-            } else {
-                0.0
-            }
-        })
-        .fold(0.0, f64::max)
-}
-
-/// Extract the `measurement_noise` field from a [`bench_tick_report`]
-/// JSON. Reports from before the field existed (or a malformed file)
-/// read as `0.0` — the strict interpretation.
-pub fn bench_measurement_noise(json: &str) -> f64 {
-    let key = "\"measurement_noise\":";
-    json.find(key)
-        .and_then(|at| {
-            let rest = &json[at + key.len()..];
-            let end = rest.find([',', '\n', '}'])?;
-            rest[..end].trim().parse().ok()
-        })
-        .unwrap_or(0.0)
-}
-
-/// Landscape sizes of the trigger-throughput measurement: the paper pool,
-/// a mid-size synthetic landscape, and the 100× rung.
-pub const TRIGGER_RUNGS: [usize; 3] = [19, 200, 2000];
-
-/// One measured rung of the trigger-throughput benchmark.
-#[derive(Debug, Clone, Copy)]
-pub struct TriggerRung {
-    /// Servers in the landscape.
-    pub servers: usize,
-    /// Full trigger decisions per second through the seed scalar path
-    /// (one engine run per candidate, per-call memo).
-    pub scalar_triggers_per_sec: f64,
-    /// Decisions per second through the batched column-wise path with the
-    /// cross-trigger cache flushed before every pass (cold cache: what a
-    /// first-ever trigger storm on a fresh landscape revision pays).
-    pub batched_triggers_per_sec: f64,
-    /// Decisions per second through the batched path with warm caches (the
-    /// steady state: repeated triggers on an unchanged landscape are served
-    /// by the pattern memo and the incremental verdict layer).
-    pub incremental_triggers_per_sec: f64,
-    /// Whether batched and scalar planning decided identically (same
-    /// actions, same host-score bits) on this rung.
-    pub batched_matches_scalar: bool,
-}
-
-/// Measure one rung of the trigger-throughput ladder: best-of-`repeats`
-/// mean `plan_trigger` throughput over the hot services, through the
-/// scalar, batched-cold and batched-warm (incremental) paths.
-pub fn trigger_rung(servers: usize, seed: u64, repeats: u32) -> TriggerRung {
-    use autoglobe_controller::{AutoGlobeController, RuleBases};
-    use std::time::Instant;
-    let repeats = repeats.max(1);
-
-    let env = scale_environment(servers, seed);
-    let (loads, hot) = hot_spot(&env);
-    let now = SimTime::from_hours(9);
-    let events: Vec<TriggerEvent> = hot
-        .iter()
-        .map(|&service| TriggerEvent {
-            kind: TriggerKind::ServiceOverloaded,
-            subject: Subject::Service(service),
-            time: now,
-            average_cpu: 0.93,
-            average_mem: 0.4,
-        })
-        .collect();
-
-    let controller_for = |scoring: ScoringMode| {
-        let config = ControllerConfig {
-            scoring,
-            ..ControllerConfig::default()
-        };
-        AutoGlobeController::with_rule_bases(RuleBases::paper_defaults(), config)
-    };
-
-    // The equivalence probe doubles as engine warm-up for both modes.
-    let mut scalar = controller_for(ScoringMode::Scalar);
-    let mut batched = controller_for(ScoringMode::Batched);
-    let mut matches = true;
-    for event in &events {
-        let s = scalar.plan_trigger(event, &env.landscape, &loads, now);
-        let b = batched.plan_trigger(event, &env.landscape, &loads, now);
-        matches &= match (&s.decided, &b.decided) {
-            (Some(s), Some(b)) => {
-                s.action == b.action
-                    && s.host_score.map(f64::to_bits) == b.host_score.map(f64::to_bits)
-            }
-            (None, None) => true,
-            _ => false,
-        };
-    }
-
-    let time_pass = |controller: &mut AutoGlobeController| {
-        let start = Instant::now();
-        for event in &events {
-            std::hint::black_box(controller.plan_trigger(event, &env.landscape, &loads, now));
-        }
-        start.elapsed().as_secs_f64() / events.len().max(1) as f64
-    };
-
-    // Interleave the three paths round-robin per repeat, for the same
-    // reason the tick benchmark interleaves its widths: the passes are
-    // short, so measuring one path's repeats back-to-back folds any slow
-    // drift of the machine (frequency scaling, cgroup throttling) into a
-    // systematic bias against whichever path happens to run last.
-    let mut best_scalar = f64::INFINITY;
-    let mut best_cold = f64::INFINITY;
-    let mut best_warm = f64::INFINITY;
-    for _ in 0..repeats {
-        best_scalar = best_scalar.min(time_pass(&mut scalar));
-        // Cold: flush the cross-trigger cache before the pass, so the
-        // number is a pure batched-inference figure, not an incremental
-        // one.
-        batched.clear_score_cache();
-        best_cold = best_cold.min(time_pass(&mut batched));
-        // Warm: the caches the cold pass just filled are still valid on
-        // the unchanged landscape.
-        best_warm = best_warm.min(time_pass(&mut batched));
-    }
-
-    TriggerRung {
-        servers: env.landscape.num_servers(),
-        scalar_triggers_per_sec: 1.0 / best_scalar,
-        batched_triggers_per_sec: 1.0 / best_cold,
-        incremental_triggers_per_sec: 1.0 / best_warm,
-        batched_matches_scalar: matches,
-    }
-}
-
-/// Check a [`bench_tick_report`] JSON for a batched-inference regression:
-/// every `triggers_per_second` row must show the batched and incremental
-/// paths reaching at least `(1 - tolerance - noise)` of the scalar
-/// throughput — where `noise` is the report's own `measurement_noise`
-/// field, so a run on a jittery container is judged against a floor the
-/// container can actually hold — and batched planning must have decided
-/// identically to scalar. Returns the offending rows on failure.
-pub fn check_triggers_no_regression(json: &str, tolerance: f64) -> Result<(), String> {
-    let tolerance = (tolerance + bench_measurement_noise(json)).min(0.9);
-    let mut offenders = Vec::new();
-    let mut rows = 0usize;
-    let mut rest = json;
-    while let Some(at) = rest.find("{\"servers\":") {
-        let row = &rest[at..];
-        let end = row.find('}').unwrap_or(row.len());
-        let row = &row[..end];
-        let field = |key: &str| -> Option<f64> {
-            let v = &row[row.find(key)? + key.len()..];
-            let stop = v.find([',', '}']).unwrap_or(v.len());
-            v[..stop].trim().parse().ok()
-        };
-        if let (Some(servers), Some(scalar), Some(batched), Some(incremental)) = (
-            field("\"servers\":"),
-            field("\"scalar_triggers_per_sec\":"),
-            field("\"batched_triggers_per_sec\":"),
-            field("\"incremental_triggers_per_sec\":"),
-        ) {
-            rows += 1;
-            let floor = scalar * (1.0 - tolerance);
-            if batched < floor {
-                offenders.push(format!(
-                    "servers {servers:.0}: batched {batched:.1} triggers/s < {floor:.1} \
-                     (scalar {scalar:.1})"
-                ));
-            }
-            if incremental < floor {
-                offenders.push(format!(
-                    "servers {servers:.0}: incremental {incremental:.1} triggers/s < {floor:.1} \
-                     (scalar {scalar:.1})"
-                ));
-            }
-            if row.contains("\"batched_matches_scalar\": false") {
-                offenders.push(format!(
-                    "servers {servers:.0}: batched planning diverged from scalar"
-                ));
-            }
-        }
-        rest = &rest[at + end..];
-    }
-    if rows == 0 {
-        return Err("no triggers_per_second rows in the report".into());
-    }
-    if offenders.is_empty() {
-        Ok(())
-    } else {
-        Err(offenders.join("; "))
-    }
-}
-
-/// Extract `single_thread_ticks_per_sec` from a previously emitted
-/// [`bench_tick_report`] JSON, so the next regeneration can record its
-/// speedup against the number it replaces. Tolerant of a missing or
-/// malformed file (returns `None`).
-pub fn bench_single_thread_ticks_per_sec(json: &str) -> Option<f64> {
-    let key = "\"single_thread_ticks_per_sec\":";
-    let rest = &json[json.find(key)? + key.len()..];
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
-/// Check a [`bench_tick_report`] JSON for the inner-jobs inversion this
-/// benchmark once recorded (19 tiny lanes paying a thread spawn per tick):
-/// every `inner_jobs > 1` row must reach at least `(1 - tolerance - noise)`
-/// of the single-thread throughput, with `noise` read from the report's
-/// own `measurement_noise` field (see [`check_triggers_no_regression`]).
-/// Returns the offending rows on failure.
-pub fn check_inner_jobs_no_regression(json: &str, tolerance: f64) -> Result<(), String> {
-    let tolerance = (tolerance + bench_measurement_noise(json)).min(0.9);
-    let mut rows: Vec<(u64, f64)> = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find("{\"inner_jobs\":") {
-        let row = &rest[at..];
-        let end = row.find('}').unwrap_or(row.len());
-        let row = &row[..end];
-        let field = |key: &str| -> Option<f64> {
-            let v = &row[row.find(key)? + key.len()..];
-            let stop = v.find([',', '}']).unwrap_or(v.len());
-            v[..stop].trim().parse().ok()
-        };
-        if let (Some(jobs), Some(ticks)) = (field("\"inner_jobs\":"), field("\"ticks_per_sec\":")) {
-            rows.push((jobs as u64, ticks));
-        }
-        rest = &rest[at + end..];
-    }
-    let Some(&(_, single)) = rows.iter().find(|(jobs, _)| *jobs == 1) else {
-        return Err("no inner_jobs = 1 row in the report".into());
-    };
-    let floor = single * (1.0 - tolerance);
-    let offenders: Vec<String> = rows
-        .iter()
-        .filter(|(jobs, ticks)| *jobs > 1 && *ticks < floor)
-        .map(|(jobs, ticks)| {
-            format!("inner_jobs {jobs}: {ticks:.1} ticks/s < {floor:.1} (single {single:.1})")
-        })
-        .collect();
-    if offenders.is_empty() {
-        Ok(())
-    } else {
-        Err(offenders.join("; "))
-    }
-}
-
-// ---- scale ladder ----------------------------------------------------------
-
-/// The landscape sizes the scale ladder walks: the paper's 19-server SAP
-/// pool, then synthetic landscapes up to roughly 100× the paper (~2,000
-/// servers, millions of aggregate users).
-pub const SCALE_RUNGS: [usize; 5] = [19, 50, 200, 1000, 2000];
-
-/// One measured rung of the scale ladder.
-#[derive(Debug, Clone, Copy)]
-pub struct ScaleRung {
-    /// Servers in the landscape.
-    pub servers: usize,
-    /// Services in the landscape.
-    pub services: usize,
-    /// Running instances at the start of the run.
-    pub instances: usize,
-    /// Aggregate user base across all workloads.
-    pub users: f64,
-    /// Simulation throughput, best-of-repeats.
-    pub ticks_per_sec: f64,
-    /// Mean wall-clock of one full trigger decision (`plan_trigger`), µs.
-    pub mean_decision_us: f64,
-    /// Mean wall-clock of one indexed host ranking, µs.
-    pub mean_rank_indexed_us: f64,
-    /// Mean wall-clock of one exhaustive host ranking, µs.
-    pub mean_rank_exhaustive_us: f64,
-    /// Whether indexed and exhaustive ranking returned bit-identical
-    /// results (same hosts, same order, same score bits) on this rung.
-    pub indexed_matches_exhaustive: bool,
-}
-
-/// Landscape + workloads for one rung: the paper's own pool at 19 servers,
-/// a seeded synthetic landscape everywhere else.
+/// Landscape + workloads at `servers` servers: the paper's own pool at 19,
+/// a seeded synthetic landscape at any other size.
 pub fn scale_environment(servers: usize, seed: u64) -> sap::SapEnvironment {
     if servers == 19 {
         build_environment(Scenario::ConstrainedMobility)
@@ -1767,214 +1101,18 @@ pub fn scale_environment(servers: usize, seed: u64) -> sap::SapEnvironment {
     }
 }
 
-/// An overload situation on `env` for decision-latency measurement: up to
-/// eight application services run hot (their instances and hosts too), the
-/// rest of the pool idles — the shape a real trigger storm has, and one
-/// where the memoized indexed path can collapse the idle pool.
-fn hot_spot(env: &sap::SapEnvironment) -> (TableLoads, Vec<autoglobe_landscape::ServiceId>) {
-    let mut loads = TableLoads::new();
-    let hot: Vec<autoglobe_landscape::ServiceId> =
-        env.application_services().into_iter().take(8).collect();
-    for &service in &hot {
-        loads.set(Subject::Service(service), 0.93, 0.4);
-        for instance in env.landscape.instances_of(service) {
-            loads.set(Subject::Instance(instance), 0.95, 0.4);
-            if let Ok(inst) = env.landscape.instance(instance) {
-                loads.set(Subject::Server(inst.server), 0.94, 0.5);
-            }
-        }
-    }
-    (loads, hot)
-}
-
-/// Measure one rung of the scale ladder: simulation throughput at
-/// `inner_jobs = 1`, mean full-decision latency over the hot services, and
-/// indexed-vs-exhaustive ranking latency plus bit-equivalence.
-pub fn scale_rung(servers: usize, hours: u64, seed: u64, repeats: u32) -> ScaleRung {
-    use autoglobe_controller::AutoGlobeController;
-    use std::time::Instant;
-    let repeats = repeats.max(1);
-
-    // Throughput: the full simulate-monitor-decide loop on this landscape.
-    let config = SimConfig::paper(Scenario::ConstrainedMobility, 1.0)
-        .with_duration(SimDuration::from_hours(hours))
-        .with_seed(seed);
-    let ticks = config.num_ticks();
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats {
-        let env = scale_environment(servers, seed);
-        let start = Instant::now();
-        let metrics = Simulation::new(env, config.clone()).run();
-        let secs = start.elapsed().as_secs_f64();
-        std::hint::black_box(&metrics);
-        best = best.min(secs);
-    }
-
-    // Decision latency: plan (never execute) a service-overload trigger for
-    // each hot service, so the landscape stays fixed across iterations.
-    let env = scale_environment(servers, seed);
-    let (loads, hot) = hot_spot(&env);
-    let now = SimTime::from_hours(9);
-    let users: f64 = env.workloads.iter().map(|w| w.base_users).sum();
-    let mut controller = AutoGlobeController::new();
-    let events: Vec<TriggerEvent> = hot
-        .iter()
-        .map(|&service| TriggerEvent {
-            kind: TriggerKind::ServiceOverloaded,
-            subject: Subject::Service(service),
-            time: now,
-            average_cpu: 0.93,
-            average_mem: 0.4,
-        })
-        .collect();
-    for event in &events {
-        // Warm-up: fuzzy engines lazily compile on first use.
-        std::hint::black_box(controller.plan_trigger(event, &env.landscape, &loads, now));
-    }
-    let mut best_decision = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        for event in &events {
-            std::hint::black_box(controller.plan_trigger(event, &env.landscape, &loads, now));
-        }
-        let secs = start.elapsed().as_secs_f64();
-        best_decision = best_decision.min(secs / events.len().max(1) as f64);
-    }
-
-    // Ranking latency and the bit-equivalence proof, indexed vs exhaustive.
-    let service = hot.first().copied().unwrap_or_else(|| {
-        env.landscape
-            .service_ids()
-            .next()
-            .expect("landscape has services")
-    });
-    let indexed = controller.rank_hosts_indexed(
-        ActionKind::ScaleOut,
-        service,
-        None,
-        &env.landscape,
-        &loads,
-        now,
-    );
-    let exhaustive = controller.rank_hosts_exhaustive(
-        ActionKind::ScaleOut,
-        service,
-        None,
-        &env.landscape,
-        &loads,
-        now,
-    );
-    let matches = indexed.len() == exhaustive.len()
-        && indexed
-            .iter()
-            .zip(&exhaustive)
-            .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());
-    let time_ranking = |controller: &mut AutoGlobeController, indexed_path: bool| {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let start = Instant::now();
-            let ranked = if indexed_path {
-                controller.rank_hosts_indexed(
-                    ActionKind::ScaleOut,
-                    service,
-                    None,
-                    &env.landscape,
-                    &loads,
-                    now,
-                )
-            } else {
-                controller.rank_hosts_exhaustive(
-                    ActionKind::ScaleOut,
-                    service,
-                    None,
-                    &env.landscape,
-                    &loads,
-                    now,
-                )
-            };
-            let secs = start.elapsed().as_secs_f64();
-            std::hint::black_box(&ranked);
-            best = best.min(secs);
-        }
-        best
-    };
-    let rank_indexed = time_ranking(&mut controller, true);
-    let rank_exhaustive = time_ranking(&mut controller, false);
-
-    ScaleRung {
-        servers: env.landscape.num_servers(),
-        services: env.landscape.num_services(),
-        instances: env.landscape.num_instances(),
-        users,
-        ticks_per_sec: ticks as f64 / best,
-        mean_decision_us: best_decision * 1e6,
-        mean_rank_indexed_us: rank_indexed * 1e6,
-        mean_rank_exhaustive_us: rank_exhaustive * 1e6,
-        indexed_matches_exhaustive: matches,
-    }
-}
-
-/// The scale-ladder report behind `results/BENCH_scale.json`: every
-/// [`SCALE_RUNGS`] size, measured by [`scale_rung`].
-pub fn bench_scale_report(hours: u64, seed: u64, repeats: u32) -> (Vec<ScaleRung>, String) {
-    let rungs: Vec<ScaleRung> = SCALE_RUNGS
-        .iter()
-        .map(|&servers| scale_rung(servers, hours, seed, repeats))
-        .collect();
-    let mut out = String::from("{\n");
-    writeln!(out, "  \"schema\": 1,").unwrap();
-    writeln!(out, "  \"benchmark\": \"scale_ladder\",").unwrap();
-    writeln!(out, "  \"hours\": {hours},").unwrap();
-    writeln!(out, "  \"seed\": {seed},").unwrap();
-    writeln!(out, "  \"repeats\": {},", repeats.max(1)).unwrap();
-    out.push_str("  \"rungs\": [\n");
-    for (i, r) in rungs.iter().enumerate() {
-        let comma = if i + 1 < rungs.len() { "," } else { "" };
-        writeln!(
-            out,
-            "    {{\"servers\": {}, \"services\": {}, \"instances\": {}, \"users\": {:.0}, \
-             \"ticks_per_sec\": {:.1}, \"mean_decision_us\": {:.1}, \
-             \"mean_rank_indexed_us\": {:.1}, \"mean_rank_exhaustive_us\": {:.1}, \
-             \"indexed_matches_exhaustive\": {}}}{comma}",
-            r.servers,
-            r.services,
-            r.instances,
-            r.users,
-            r.ticks_per_sec,
-            r.mean_decision_us,
-            r.mean_rank_indexed_us,
-            r.mean_rank_exhaustive_us,
-            r.indexed_matches_exhaustive,
-        )
-        .unwrap();
-    }
-    out.push_str("  ]\n}\n");
-    (rungs, out)
-}
-
 /// A deterministic digest of one synthetic-landscape run, for CI to diff
-/// across `inner_jobs` widths: every float is rendered as exact bits, so
-/// any divergence — however small — shows up as a byte difference.
+/// across `inner_jobs` widths (above
+/// [`MIN_SERVERS_PER_LANE`](autoglobe_simulator::MIN_SERVERS_PER_LANE)
+/// servers, where the per-server phase really splits into lanes): every
+/// float is rendered as exact bits, so any divergence — however small —
+/// shows up as a byte difference.
 pub fn scale_smoke(servers: usize, hours: u64, seed: u64, inner_jobs: usize) -> String {
-    scale_smoke_scored(servers, hours, seed, inner_jobs, ScoringMode::default())
-}
-
-/// [`scale_smoke`] with an explicit advisor [`ScoringMode`]; CI diffs the
-/// scalar digest against the batched default on a synthetic landscape the
-/// same way it diffs the paper figures.
-pub fn scale_smoke_scored(
-    servers: usize,
-    hours: u64,
-    seed: u64,
-    inner_jobs: usize,
-    scoring: ScoringMode,
-) -> String {
     let env = scale_environment(servers, seed);
-    let mut config = SimConfig::paper(Scenario::ConstrainedMobility, 1.0)
+    let config = SimConfig::paper(Scenario::ConstrainedMobility, 1.0)
         .with_duration(SimDuration::from_hours(hours))
         .with_seed(seed)
         .with_inner_jobs(inner_jobs);
-    config.controller.scoring = scoring;
     let metrics = Simulation::new(env, config).run();
     let mut out = String::from("metric,value\n");
     writeln!(out, "servers,{servers}").unwrap();
@@ -2274,220 +1412,47 @@ mod tests {
         );
     }
 
-    /// Satellite acceptance for the inner-jobs fix: on the paper's 19-server
-    /// landscape, `--inner-jobs 4` must not be slower than sequential beyond
-    /// noise — the lane clamp routes tiny arenas straight through the
-    /// sequential path, so there is no per-tick spawn cost left to pay.
-    #[test]
-    fn inner_jobs_do_not_regress_on_the_paper_landscape() {
-        use std::time::Instant;
-        let best_of = |jobs: usize| {
-            let mut best = f64::INFINITY;
-            for _ in 0..5 {
-                let start = Instant::now();
-                let metrics = scenario_run_at(Scenario::ConstrainedMobility, 1.15, 2, 7, jobs);
-                let secs = start.elapsed().as_secs_f64();
-                std::hint::black_box(&metrics);
-                best = best.min(secs);
-            }
-            best
-        };
-        let sequential = best_of(1);
-        let wide = best_of(4);
-        assert!(
-            wide <= sequential * 1.05 + 0.005,
-            "inner_jobs 4 regressed: {wide:.4}s vs sequential {sequential:.4}s"
-        );
-    }
-
-    #[test]
-    fn inner_jobs_regression_checker_reads_report_rows() {
-        let good = r#"{"inner_jobs_scaling": [
-            {"inner_jobs": 1, "best_secs": 1.0, "ticks_per_sec": 1000.0},
-            {"inner_jobs": 2, "best_secs": 1.0, "ticks_per_sec": 990.0},
-            {"inner_jobs": 4, "best_secs": 1.0, "ticks_per_sec": 1005.0}
-        ]}"#;
-        assert_eq!(check_inner_jobs_no_regression(good, 0.05), Ok(()));
-        let bad = r#"{"inner_jobs_scaling": [
-            {"inner_jobs": 1, "best_secs": 1.0, "ticks_per_sec": 1000.0},
-            {"inner_jobs": 4, "best_secs": 1.0, "ticks_per_sec": 300.0}
-        ]}"#;
-        let err = check_inner_jobs_no_regression(bad, 0.05).unwrap_err();
-        assert!(err.contains("inner_jobs 4"), "{err}");
-        assert!(check_inner_jobs_no_regression("{}", 0.05).is_err());
-    }
-
-    /// The checked-in benchmark report must never again carry the inversion
-    /// this PR fixed (inner_jobs 4 at 0.18× the single-thread throughput).
-    #[test]
-    fn checked_in_bench_tick_report_has_no_inner_jobs_regression() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_tick.json");
-        let json = std::fs::read_to_string(path).expect("results/BENCH_tick.json is checked in");
-        if let Err(err) = check_inner_jobs_no_regression(&json, 0.10) {
-            panic!("results/BENCH_tick.json records an inner-jobs regression: {err}");
-        }
-    }
-
-    #[test]
-    fn triggers_regression_checker_reads_report_rows() {
-        let good = r#"{"triggers_per_second": [
-            {"servers": 19, "scalar_triggers_per_sec": 1000.0, "batched_triggers_per_sec": 1200.0, "incremental_triggers_per_sec": 5000.0, "batched_matches_scalar": true},
-            {"servers": 2000, "scalar_triggers_per_sec": 100.0, "batched_triggers_per_sec": 98.0, "incremental_triggers_per_sec": 400.0, "batched_matches_scalar": true}
-        ]}"#;
-        assert_eq!(check_triggers_no_regression(good, 0.10), Ok(()));
-        let slow = r#"{"triggers_per_second": [
-            {"servers": 200, "scalar_triggers_per_sec": 1000.0, "batched_triggers_per_sec": 500.0, "incremental_triggers_per_sec": 2000.0, "batched_matches_scalar": true}
-        ]}"#;
-        let err = check_triggers_no_regression(slow, 0.10).unwrap_err();
-        assert!(err.contains("batched 500.0"), "{err}");
-        let diverged = r#"{"triggers_per_second": [
-            {"servers": 200, "scalar_triggers_per_sec": 1000.0, "batched_triggers_per_sec": 2000.0, "incremental_triggers_per_sec": 2000.0, "batched_matches_scalar": false}
-        ]}"#;
-        let err = check_triggers_no_regression(diverged, 0.10).unwrap_err();
-        assert!(err.contains("diverged"), "{err}");
-        assert!(check_triggers_no_regression("{}", 0.10).is_err());
-    }
-
-    /// The checked-in benchmark report must show the batched advisor path
-    /// holding its ground against the scalar seed path (and the warm
-    /// incremental layer on top), with identical decisions.
-    #[test]
-    fn checked_in_bench_tick_report_has_no_triggers_regression() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_tick.json");
-        let json = std::fs::read_to_string(path).expect("results/BENCH_tick.json is checked in");
-        if let Err(err) = check_triggers_no_regression(&json, 0.10) {
-            panic!("results/BENCH_tick.json records a trigger-throughput regression: {err}");
-        }
-    }
-
-    /// Tentpole acceptance, property-style: across seeded random landscapes
-    /// and every action kind, the batched path, the scalar seed path, and
-    /// the incremental layer at epsilon 0 (second ranking served from the
-    /// warm cache) all return bit-identical host rankings — mirroring the
-    /// `indexed_matches_exhaustive` proof one layer down.
-    #[test]
-    fn batched_scalar_and_incremental_rankings_are_bit_identical_on_random_landscapes() {
-        use autoglobe_controller::{AutoGlobeController, RuleBases};
-        let controller_for = |scoring: ScoringMode| {
-            let config = ControllerConfig {
-                scoring,
-                ..ControllerConfig::default()
-            };
-            AutoGlobeController::with_rule_bases(RuleBases::paper_defaults(), config)
-        };
-        let mut state = 0xBA7C_4ED5_C0DEu64;
-        for servers in [37usize, 110] {
-            let env_seed = splitmix64(&mut state);
-            let env = scale_environment(servers, env_seed);
-            let mut loads = TableLoads::new();
-            let rnd = |state: &mut u64| (splitmix64(state) % 1001) as f64 / 1000.0;
-            for server in env.landscape.server_ids() {
-                let (cpu, mem) = (rnd(&mut state), rnd(&mut state));
-                loads.set(Subject::Server(server), cpu, mem);
-            }
-            for service in env.landscape.service_ids() {
-                let (cpu, mem) = (rnd(&mut state), rnd(&mut state));
-                loads.set(Subject::Service(service), cpu, mem);
-                for instance in env.landscape.instances_of(service) {
-                    let cpu = rnd(&mut state);
-                    loads.set(Subject::Instance(instance), cpu, 0.0);
-                }
-            }
-            let now = SimTime::from_hours(9);
-            let mut scalar = controller_for(ScoringMode::Scalar);
-            let mut batched = controller_for(ScoringMode::Batched);
-            let mut warm = controller_for(ScoringMode::Batched);
-            let services: Vec<_> = env.landscape.service_ids().take(3).collect();
-            for kind in ActionKind::ALL {
-                for &service in &services {
-                    let instance = env.landscape.instances_of(service).into_iter().next();
-                    let instance = kind.needs_target().then_some(instance).flatten();
-                    let s = scalar.rank_hosts_indexed(
-                        kind,
-                        service,
-                        instance,
-                        &env.landscape,
-                        &loads,
-                        now,
-                    );
-                    let variants = [
-                        (
-                            "batched",
-                            batched.rank_hosts_indexed(
-                                kind,
-                                service,
-                                instance,
-                                &env.landscape,
-                                &loads,
-                                now,
-                            ),
-                        ),
-                        (
-                            "incremental cold",
-                            warm.rank_hosts_indexed(
-                                kind,
-                                service,
-                                instance,
-                                &env.landscape,
-                                &loads,
-                                now,
-                            ),
-                        ),
-                        (
-                            "incremental warm",
-                            warm.rank_hosts_indexed(
-                                kind,
-                                service,
-                                instance,
-                                &env.landscape,
-                                &loads,
-                                now,
-                            ),
-                        ),
-                    ];
-                    for (label, ranked) in &variants {
-                        assert_eq!(
-                            ranked.len(),
-                            s.len(),
-                            "{label} host count diverged for {kind:?} on {service} \
-                             ({servers} servers)"
-                        );
-                        for (a, b) in ranked.iter().zip(&s) {
-                            assert_eq!(a.0, b.0, "{label} order diverged for {kind:?}");
-                            assert_eq!(
-                                a.1.to_bits(),
-                                b.1.to_bits(),
-                                "{label} score bits diverged for {kind:?} on {:?}",
-                                a.0
-                            );
-                        }
-                    }
-                }
-            }
-            let stats = warm.score_cache_stats();
-            assert!(
-                stats.pattern_hits + stats.incremental_hits > 0,
-                "the repeated rankings must be served from the cache: {stats:?}"
-            );
-        }
-    }
-
-    /// Synthetic rungs must rank hosts bit-identically through the index
-    /// and the exhaustive scan, and the smoke digest must not depend on the
-    /// lane width.
+    /// The smoke digest must not depend on the lane width. 600 servers is
+    /// above the lane clamp: `inner_jobs` 4 runs the per-server phase as
+    /// three real lanes, not the sequential path again.
     #[test]
     fn scale_smoke_is_bit_identical_across_job_counts() {
-        let sequential = scale_smoke(50, 2, 7, 1);
-        let wide = scale_smoke(50, 2, 7, 4);
+        use autoglobe_simulator::MIN_SERVERS_PER_LANE;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let servers = 600;
+        let lanes = AtomicUsize::new(0);
+        pool::parallel_chunks_mut_min(4, MIN_SERVERS_PER_LANE, &mut vec![0u8; servers], |_, _| {
+            lanes.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(lanes.into_inner(), 3, "inner_jobs 4 must split 600 servers");
+        let sequential = scale_smoke(servers, 2, 7, 1);
+        let wide = scale_smoke(servers, 2, 7, 4);
         assert_eq!(sequential, wide);
         assert!(sequential.contains("average_series_checksum,"));
     }
 
+    /// A 200-server synthetic landscape in a trigger storm's shape must
+    /// rank hosts bit-identically through the index and the exhaustive
+    /// scan: eight application services run hot (with their instances and
+    /// hosts), the rest of the pool idles.
     #[test]
     fn synthetic_rung_ranks_identically_through_the_index() {
+        use autoglobe_controller::inputs::TableLoads;
         use autoglobe_controller::AutoGlobeController;
+        use autoglobe_landscape::ActionKind;
+        use autoglobe_monitor::{SimTime, Subject};
         let env = scale_environment(200, 42);
-        let (loads, hot) = hot_spot(&env);
+        let mut loads = TableLoads::new();
+        let hot: Vec<_> = env.application_services().into_iter().take(8).collect();
+        for &service in &hot {
+            loads.set(Subject::Service(service), 0.93, 0.4);
+            for instance in env.landscape.instances_of(service) {
+                loads.set(Subject::Instance(instance), 0.95, 0.4);
+                if let Ok(inst) = env.landscape.instance(instance) {
+                    loads.set(Subject::Server(inst.server), 0.94, 0.5);
+                }
+            }
+        }
         let now = SimTime::from_hours(9);
         let mut controller = AutoGlobeController::new();
         for kind in [ActionKind::Start, ActionKind::ScaleOut, ActionKind::Move] {
@@ -2671,133 +1636,25 @@ mod name_resolution_tests {
     /// (`--shards` of `experiments shardchaos`) are both output-neutral.
     #[test]
     fn shard_chaos_csv_is_bit_identical_across_job_and_plane_job_counts() {
-        let baseline = shard_chaos_csv(&shard_chaos_sweep(2, 7, 1, 1, ReplicationMode::Delta));
+        let baseline = shard_chaos_csv(&shard_chaos_sweep(2, 7, 1, 1));
         for (jobs, plane_jobs) in [(4, 1), (1, 2), (4, 4)] {
             assert_eq!(
                 baseline,
-                shard_chaos_csv(&shard_chaos_sweep(
-                    2,
-                    7,
-                    jobs,
-                    plane_jobs,
-                    ReplicationMode::Delta
-                )),
+                shard_chaos_csv(&shard_chaos_sweep(2, 7, jobs, plane_jobs)),
                 "shard chaos diverged at jobs={jobs}, plane_jobs={plane_jobs}"
             );
         }
-        // Replication mode is output-neutral too: the whole sweep — owner
-        // kills, fencing, monitoring rebuilds and all — is bit-identical
-        // under full-stream replication.
-        assert_eq!(
-            baseline,
-            shard_chaos_csv(&shard_chaos_sweep(2, 7, 1, 1, ReplicationMode::Full)),
-            "shard chaos diverged between delta and full replication"
-        );
     }
 
-    /// The shard-smoke digest omits the shard count *and* the replication
-    /// mode on purpose — the partitioning must be invisible to the paper's
-    /// scenarios, so the digest of a 1-shard delta plane equals the digest
-    /// of a 4-shard full-replication one.
+    /// The shard-smoke digest omits the shard count on purpose — the
+    /// partitioning must be invisible to the paper's scenarios, so the
+    /// digest of a 1-shard plane equals the digest of a 4-shard one.
     #[test]
-    fn shard_smoke_digest_is_shard_count_and_replication_invariant() {
-        let one = shard_smoke(1, 6, 42, 1, ReplicationMode::Delta);
-        let four = shard_smoke(4, 6, 42, 2, ReplicationMode::Full);
+    fn shard_smoke_digest_is_shard_count_invariant() {
+        let one = shard_smoke(1, 6, 42, 1);
+        let four = shard_smoke(4, 6, 42, 2);
         assert_eq!(one, four);
         assert!(one.lines().count() >= 5, "digest must carry the metrics");
-    }
-
-    /// Tentpole acceptance on *synthetic* landscapes: owner-scoped
-    /// ingestion + delta replication is bitwise equivalent to full-stream
-    /// replication across seeded landscape sizes, shard counts and
-    /// owner-kill chaos — not just on the paper pool the in-crate twin
-    /// pins. Each point runs the same seeded world through both modes and
-    /// compares the scenario digest (action stream, overload, demand bits)
-    /// and the full recovery statistics.
-    #[test]
-    fn delta_replication_matches_full_on_synth_landscapes() {
-        for &(servers, shards, kills, seed) in &[(50usize, 2usize, 1usize, 77u64), (120, 4, 2, 131)]
-        {
-            let run = |replication: ReplicationMode| {
-                let chaos = ShardChaos {
-                    server_failure_per_hour: SHARD_CHAOS_SERVER_FAILURE_PER_HOUR,
-                    repair_after: SimDuration::from_hours(1),
-                    kill_fracs: [0.35, 0.65][..kills.min(2)].to_vec(),
-                };
-                let env = synth_environment(&SynthConfig::sized(servers, seed));
-                RunBuilder::new(Scenario::ConstrainedMobility)
-                    .multiplier(1.0)
-                    .hours(4)
-                    .seed(seed)
-                    .execution(ExecutorConfig {
-                        min_latency: SimDuration::from_secs(30),
-                        max_latency: SimDuration::from_minutes(3),
-                        timeout: SimDuration::from_minutes(2),
-                        failure_probability: CHAOS_EXEC_FAILURE_PROBABILITY,
-                        ..ExecutorConfig::reliable()
-                    })
-                    .environment(env)
-                    .shards(shards)
-                    .plane_jobs(2)
-                    .shard_chaos(chaos)
-                    .replication(replication)
-                    .sharded()
-                    .run()
-            };
-            let (full, full_stats) = run(ReplicationMode::Full);
-            let (delta, delta_stats) = run(ReplicationMode::Delta);
-            assert_eq!(
-                metrics_digest(&full),
-                metrics_digest(&delta),
-                "servers {servers} shards {shards} kills {kills}: scenario digests diverged"
-            );
-            assert_eq!(
-                full_stats, delta_stats,
-                "servers {servers} shards {shards} kills {kills}: recovery stats diverged"
-            );
-        }
-    }
-
-    /// The shard-scale gate fails on either divergence (delta ≠ full) or a
-    /// delta slowdown at the largest point, and on an empty report.
-    #[test]
-    fn shard_scale_checker_enforces_equivalence_and_speed() {
-        let ok = "{\n  \"points\": [\n    \
-                  {\"servers\": 200, \"shards\": 1, \"full_ticks_per_sec\": 100.0, \
-                  \"delta_ticks_per_sec\": 99.0, \"delta_speedup\": 0.990, \
-                  \"delta_matches_full\": true},\n    \
-                  {\"servers\": 2000, \"shards\": 4, \"full_ticks_per_sec\": 10.0, \
-                  \"delta_ticks_per_sec\": 25.0, \"delta_speedup\": 2.500, \
-                  \"delta_matches_full\": true}\n  ]\n}\n";
-        assert!(check_shard_scale_no_regression(ok).is_ok());
-        let diverged = ok.replace(
-            "\"delta_speedup\": 2.500, \"delta_matches_full\": true",
-            "\"delta_speedup\": 2.500, \"delta_matches_full\": false",
-        );
-        assert!(check_shard_scale_no_regression(&diverged).is_err());
-        let slow = ok.replace(
-            "\"delta_ticks_per_sec\": 25.0",
-            "\"delta_ticks_per_sec\": 5.0",
-        );
-        assert!(check_shard_scale_no_regression(&slow).is_err());
-        assert!(check_shard_scale_no_regression("{}").is_err());
-    }
-
-    /// The regression checkers read the report's own `measurement_noise`
-    /// and widen their tolerance by it: a shortfall that fails on a quiet
-    /// container passes when the repeats themselves showed that much
-    /// jitter — container noise is not a code regression.
-    #[test]
-    fn measurement_noise_widens_the_checker_tolerance() {
-        let report = "{\n  \"measurement_noise\": 0.1500,\n  \"inner_jobs_scaling\": [\n    \
-                      {\"inner_jobs\": 1, \"best_secs\": 1.0, \"ticks_per_sec\": 100.0},\n    \
-                      {\"inner_jobs\": 4, \"best_secs\": 1.2, \"ticks_per_sec\": 82.0}\n  ]\n}\n";
-        assert!((bench_measurement_noise(report) - 0.15).abs() < 1e-9);
-        assert!(check_inner_jobs_no_regression(report, 0.10).is_ok());
-        let quiet = report.replace("0.1500", "0.0000");
-        assert!(check_inner_jobs_no_regression(&quiet, 0.10).is_err());
-        // Reports from before the field existed read as zero noise.
-        assert_eq!(bench_measurement_noise("{}"), 0.0);
     }
 
     /// The CSV renderer exposes every robustness column the experiment

@@ -12,12 +12,11 @@
 //!   only empties on engine swaps ([`ScoreCache::clear`]) or capacity
 //!   overflow. A hit returns the exact bits an engine evaluation of the
 //!   same pattern produced, so persistence cannot perturb outputs;
-//! - an **incremental verdict layer** keyed per server: the lanes and score
-//!   of the server's last evaluation. When every lane moved less than a
-//!   configurable epsilon since then, re-inference is skipped and the
-//!   cached verdict reused. At epsilon 0 (the default) the gate is exact
-//!   bit equality, so reuse is trivially bit-identical; a non-zero epsilon
-//!   is the opt-in approximate fast mode. Unlike the pattern memo this
+//! - an **incremental verdict layer** keyed per server: the input bits and
+//!   score of the server's last evaluation. When the server's lanes are
+//!   bit-for-bit unchanged since then, the cached verdict is reused — a
+//!   dense array probe instead of hashing the 88-byte pattern key, and
+//!   trivially bit-identical to re-inference. Unlike the pattern memo this
 //!   layer is epoch-cleared: any landscape mutation (seen via
 //!   [`autoglobe_landscape::Landscape::revision`]) flushes it, keeping the
 //!   per-server anchors scoped to one allocation.
@@ -102,7 +101,7 @@ const MAX_VERDICT_ENTRIES: usize = 1 << 18;
 pub struct ScoreCacheStats {
     /// Lookups answered by the exact-bit-pattern memo.
     pub pattern_hits: u64,
-    /// Lookups answered by the per-server epsilon-gated verdict layer.
+    /// Lookups answered by the per-server verdict layer.
     pub incremental_hits: u64,
     /// Lookups that fell through to engine evaluation.
     pub misses: u64,
@@ -115,15 +114,14 @@ pub struct ScoreCacheStats {
     pub verdict_entries: usize,
 }
 
-/// A server's last evaluated inputs (bits for the exact gate, values for
-/// the epsilon gate) and the score they produced. `epoch` stamps the flush
-/// generation the verdict was stored in; a stale stamp reads as absent, so
-/// flushing the dense layer is one counter bump instead of a wipe.
+/// A server's last evaluated input bits and the score they produced.
+/// `epoch` stamps the flush generation the verdict was stored in; a stale
+/// stamp reads as absent, so flushing the dense layer is one counter bump
+/// instead of a wipe.
 #[derive(Debug, Clone, Copy)]
 struct Verdict {
     epoch: u64,
     bits: [u64; 10],
-    lanes: [f64; 10],
     score: f64,
 }
 
@@ -132,7 +130,6 @@ impl Verdict {
     const EMPTY: Verdict = Verdict {
         epoch: 0,
         bits: [0; 10],
-        lanes: [0.0; 10],
         score: 0.0,
     };
 }
@@ -228,37 +225,21 @@ impl ScoreCache {
         (self.engines.len() - 1) as u32
     }
 
-    /// The incremental layer: the cached verdict for `server`, if its lanes
-    /// moved less than `epsilon` since the last evaluation (exact bit
-    /// equality at `epsilon == 0`).
+    /// The incremental layer: the cached verdict for `server`, if its input
+    /// bits are unchanged since the last evaluation.
     pub(crate) fn incremental_lookup(
         &mut self,
         slot: u32,
         server: ServerId,
         bits: &[u64; 10],
-        lanes: &[f64; 10],
-        epsilon: f64,
     ) -> Option<f64> {
         let verdict = self
             .verdicts
             .get(slot as usize)?
             .get(server.index())
-            .filter(|v| v.epoch == self.epoch)?;
-        let within = if epsilon == 0.0 {
-            verdict.bits == *bits
-        } else {
-            verdict
-                .lanes
-                .iter()
-                .zip(lanes.iter())
-                .all(|(old, new)| (old - new).abs() <= epsilon)
-        };
-        if within {
-            self.incremental_hits += 1;
-            Some(verdict.score)
-        } else {
-            None
-        }
+            .filter(|v| v.epoch == self.epoch && v.bits == *bits)?;
+        self.incremental_hits += 1;
+        Some(verdict.score)
     }
 
     /// The pattern memo: the score of an exact input bit pattern, if any
@@ -285,16 +266,13 @@ impl ScoreCache {
         self.patterns.insert((slot, bits), score);
     }
 
-    /// Anchor a server's verdict at the inputs it was (actually) evaluated
-    /// at. Deliberately *not* called on incremental hits: re-anchoring on a
-    /// skipped evaluation would let a slow drift stay forever within epsilon
-    /// of a moving anchor and never re-evaluate.
+    /// Anchor a server's verdict at the inputs it was scored at (a verdict
+    /// hit already holds its anchor, so callers skip it).
     pub(crate) fn store_verdict(
         &mut self,
         slot: u32,
         server: ServerId,
         bits: [u64; 10],
-        lanes: [f64; 10],
         score: f64,
     ) {
         if self.verdict_count >= MAX_VERDICT_ENTRIES {
@@ -316,7 +294,6 @@ impl ScoreCache {
         lane[at] = Verdict {
             epoch: self.epoch,
             bits,
-            lanes,
             score,
         };
     }
@@ -339,7 +316,6 @@ mod tests {
     use super::*;
 
     const BITS: [u64; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-    const LANES: [f64; 10] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 
     #[test]
     fn pattern_memo_survives_revisions_while_verdicts_flush() {
@@ -349,22 +325,16 @@ mod tests {
         let server = ServerId::new(3);
         assert_eq!(cache.pattern_lookup(slot, &BITS), None);
         cache.insert_pattern(slot, BITS, 0.75);
-        cache.store_verdict(slot, server, BITS, LANES, 0.75);
+        cache.store_verdict(slot, server, BITS, 0.75);
         assert_eq!(cache.pattern_lookup(slot, &BITS), Some(0.75));
         // Same revision: both layers survive.
         cache.sync_revision(7);
         assert_eq!(cache.pattern_lookup(slot, &BITS), Some(0.75));
-        assert_eq!(
-            cache.incremental_lookup(slot, server, &BITS, &LANES, 0.0),
-            Some(0.75)
-        );
+        assert_eq!(cache.incremental_lookup(slot, server, &BITS), Some(0.75));
         // Landscape changed: verdict anchors flush, the pure-function
         // pattern memo stays warm.
         cache.sync_revision(8);
-        assert_eq!(
-            cache.incremental_lookup(slot, server, &BITS, &LANES, 0.0),
-            None
-        );
+        assert_eq!(cache.incremental_lookup(slot, server, &BITS), None);
         assert_eq!(cache.pattern_lookup(slot, &BITS), Some(0.75));
         let stats = cache.stats();
         assert_eq!(stats.clears, 1);
@@ -389,42 +359,18 @@ mod tests {
     }
 
     #[test]
-    fn incremental_gate_is_exact_at_zero_epsilon() {
+    fn incremental_gate_is_exact_bit_equality() {
         let mut cache = ScoreCache::default();
         let slot = cache.engine_slot(ActionKind::Move, "");
         let server = ServerId::new(3);
-        cache.store_verdict(slot, server, BITS, LANES, 0.6);
-        assert_eq!(
-            cache.incremental_lookup(slot, server, &BITS, &LANES, 0.0),
-            Some(0.6)
-        );
+        cache.store_verdict(slot, server, BITS, 0.6);
+        assert_eq!(cache.incremental_lookup(slot, server, &BITS), Some(0.6));
         let mut moved_bits = BITS;
         moved_bits[0] ^= 1;
         assert_eq!(
-            cache.incremental_lookup(slot, server, &moved_bits, &LANES, 0.0),
+            cache.incremental_lookup(slot, server, &moved_bits),
             None,
             "any bit change defeats the exact gate"
-        );
-    }
-
-    #[test]
-    fn incremental_gate_tolerates_small_moves_at_nonzero_epsilon() {
-        let mut cache = ScoreCache::default();
-        let slot = cache.engine_slot(ActionKind::Move, "");
-        let server = ServerId::new(3);
-        cache.store_verdict(slot, server, BITS, LANES, 0.6);
-        let mut nearby = LANES;
-        nearby[0] += 0.005;
-        let mut far = LANES;
-        far[4] += 0.5;
-        let nearby_bits = [0u64; 10]; // bits are ignored at nonzero epsilon
-        assert_eq!(
-            cache.incremental_lookup(slot, server, &nearby_bits, &nearby, 0.01),
-            Some(0.6)
-        );
-        assert_eq!(
-            cache.incremental_lookup(slot, server, &nearby_bits, &far, 0.01),
-            None
         );
     }
 

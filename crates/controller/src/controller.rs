@@ -35,17 +35,6 @@ pub struct ControllerConfig {
     pub protection_time: SimDuration,
     /// Fuzzy engine configuration (inference method, defuzzifier).
     pub engine: EngineConfig,
-    /// Which evaluation path host scoring takes (batched column-wise
-    /// inference by default; the seed scalar path stays selectable).
-    pub scoring: ScoringMode,
-    /// Epsilon for the incremental scoring layer (batched mode only): a
-    /// server whose ten input lanes all moved less than this since its last
-    /// evaluation keeps its cached verdict without re-inference. `0.0` (the
-    /// default) means the gate is exact input-bit equality, so every result
-    /// stays bit-identical to scalar evaluation; a positive value is the
-    /// opt-in approximate fast mode. Non-finite or negative values are
-    /// treated as `0.0`.
-    pub score_epsilon: f64,
 }
 
 impl Default for ControllerConfig {
@@ -55,26 +44,8 @@ impl Default for ControllerConfig {
             min_host_score: 0.2,
             protection_time: SimDuration::from_minutes(30),
             engine: EngineConfig::default(),
-            scoring: ScoringMode::default(),
-            score_epsilon: 0.0,
         }
     }
-}
-
-/// Which evaluation path [`AutoGlobeController`] uses to score candidate
-/// hosts (see [`ControllerConfig::scoring`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringMode {
-    /// Column-wise batched fuzzy inference over all eligible candidates at
-    /// once, with a cross-trigger pattern memo and the epsilon-gated
-    /// incremental layer. Bit-identical to [`ScoringMode::Scalar`] when
-    /// [`ControllerConfig::score_epsilon`] is `0.0` (test- and CI-enforced).
-    #[default]
-    Batched,
-    /// One scalar engine run per candidate with a per-call memo — the seed
-    /// behavior, kept selectable as the reference for equivalence diffs and
-    /// the `triggers_per_second` benchmark baseline.
-    Scalar,
 }
 
 /// Automatic vs. semi-automatic operation (Section 4.3).
@@ -144,8 +115,8 @@ pub struct AutoGlobeController {
     log: Vec<ControllerEvent>,
     pending: Vec<PendingAction>,
     next_pending_id: u64,
-    /// Cross-trigger fuzzy-score cache (batched mode): bounded, cleared
-    /// whenever the landscape revision moves.
+    /// Cross-trigger fuzzy-score cache: bounded, its per-server verdicts
+    /// flushed whenever the landscape revision moves.
     score_cache: ScoreCache,
     /// Cross-trigger [`HostIndex`] memo, keyed by landscape revision. The
     /// index is a pure function of the allocation, and every landscape
@@ -154,11 +125,11 @@ pub struct AutoGlobeController {
     /// the controller assumes it is driven against one landscape, which
     /// every supervisor upholds.
     host_index: Option<(u64, HostIndex)>,
-    /// Reusable pass-1 buffer of [`Self::rank_hosts_over_batched`]: one
-    /// entry per eligible server, ~250 bytes each, so letting each rank
-    /// call grow a fresh vector would re-copy hundreds of kilobytes per
-    /// trigger. Length is meaningless between calls.
-    eligible_scratch: Vec<(ServerId, ServerInputs, [u64; 10], [f64; 10])>,
+    /// Reusable pass-1 buffer of [`Self::rank_hosts_over`]: one entry per
+    /// eligible server, ~170 bytes each, so letting each rank call grow a
+    /// fresh vector would re-copy hundreds of kilobytes per trigger. Length
+    /// is meaningless between calls.
+    eligible_scratch: Vec<(ServerId, ServerInputs, [u64; 10])>,
 }
 
 impl AutoGlobeController {
@@ -184,7 +155,7 @@ impl AutoGlobeController {
         }
     }
 
-    /// Counters and sizes of the cross-trigger score cache (batched mode).
+    /// Counters and sizes of the cross-trigger score cache.
     pub fn score_cache_stats(&self) -> ScoreCacheStats {
         self.score_cache.stats()
     }
@@ -572,35 +543,14 @@ impl AutoGlobeController {
         self.host_index = Some((landscape.revision(), index));
     }
 
-    /// The indexed ranking pass over a prebuilt [`HostIndex`], dispatched
-    /// by [`ControllerConfig::scoring`]. Both paths produce bit-identical
-    /// rankings (at `score_epsilon = 0`); batched is the production default.
+    /// The indexed ranking pass over a prebuilt [`HostIndex`]: one
+    /// constraint-prefilter pass gathering the dense input lanes of every
+    /// eligible server, cache resolution against the per-server verdict
+    /// layer and the cross-trigger pattern memo, then a **single**
+    /// column-wise engine cycle ([`ServerSelector::score_batch`]) over the
+    /// distinct uncached input patterns — no per-server engine call, no
+    /// per-server `HashMap`.
     fn rank_hosts_over(
-        &mut self,
-        candidate: &Candidate,
-        service_name: &str,
-        landscape: &Landscape,
-        loads: &dyn LoadView,
-        now: SimTime,
-        index: &HostIndex,
-    ) -> Vec<(ServerId, f64)> {
-        match self.config.scoring {
-            ScoringMode::Batched => {
-                self.rank_hosts_over_batched(candidate, service_name, landscape, loads, now, index)
-            }
-            ScoringMode::Scalar => {
-                self.rank_hosts_over_scalar(candidate, service_name, landscape, loads, now, index)
-            }
-        }
-    }
-
-    /// Batched ranking: one constraint-prefilter pass gathering the dense
-    /// input lanes of every eligible server, cache resolution against the
-    /// cross-trigger pattern memo and the epsilon-gated incremental layer,
-    /// then a **single** column-wise engine cycle
-    /// ([`ServerSelector::score_batch`]) over the distinct uncached input
-    /// patterns — no per-server engine call, no per-server `HashMap`.
-    fn rank_hosts_over_batched(
         &mut self,
         candidate: &Candidate,
         service_name: &str,
@@ -616,12 +566,6 @@ impl AutoGlobeController {
                 .engine_key(candidate.kind, service_name);
             self.score_cache.engine_slot(candidate.kind, key)
         };
-        let epsilon = if self.config.score_epsilon.is_finite() && self.config.score_epsilon > 0.0 {
-            self.config.score_epsilon
-        } else {
-            0.0
-        };
-
         let current_host = candidate
             .instance
             .and_then(|i| landscape.instance(i).ok().map(|inst| inst.server));
@@ -629,8 +573,8 @@ impl AutoGlobeController {
             .and_then(|h| landscape.server(h).ok())
             .map(|s| s.performance_index);
 
-        // Pass 1: constraint prefilters and dense lane gather — identical
-        // filters, in identical order, to the scalar path; no engine calls.
+        // Pass 1: constraint prefilters and dense lane gather — the
+        // exhaustive scan's filters, in its order; no engine calls.
         // The protection set is snapshotted once (it is a handful of
         // recently rearranged subjects) so the per-server probe is a
         // binary search of a tiny array, not a tree walk.
@@ -676,32 +620,28 @@ impl AutoGlobeController {
                 temp_space: spec.temp_space_mb as f64,
             };
             let mut bits = [0u64; 10];
-            let mut lanes = [0.0f64; 10];
-            for (i, (_, value)) in inputs.measurements().into_iter().enumerate() {
-                bits[i] = value.to_bits();
-                lanes[i] = value;
+            let mut finite = true;
+            for (slot, (_, value)) in bits.iter_mut().zip(inputs.measurements()) {
+                *slot = value.to_bits();
+                finite &= value.is_finite();
             }
-            // The engine rejects non-finite measurements and the scalar path
-            // skips such servers on that error; skip them up front here so
-            // one poisoned lane cannot abort the whole batch.
-            if lanes.iter().any(|v| !v.is_finite()) {
+            // The engine rejects non-finite measurements and the exhaustive
+            // scan skips such servers on that error; skip them up front here
+            // so one poisoned lane cannot abort the whole batch.
+            if !finite {
                 continue;
             }
-            eligible.push((server, inputs, bits, lanes));
+            eligible.push((server, inputs, bits));
         }
 
         // Pass 2: resolve from the caches; collect the first occurrence of
         // each uncached distinct pattern as a batch row. `refresh` is false
-        // for incremental hits — a reused verdict must not re-anchor the
-        // epsilon gate, or slow drift would never trigger re-evaluation.
+        // for verdict hits, whose anchor is already stored.
         let mut resolved: Vec<Option<(f64, bool)>> = vec![None; eligible.len()];
         let mut batch_rows: Vec<usize> = Vec::new();
         let mut pending: FastMap<[u64; 10], Vec<usize>> = FastMap::default();
-        for (i, (server, _, bits, lanes)) in eligible.iter().enumerate() {
-            if let Some(score) = self
-                .score_cache
-                .incremental_lookup(slot, *server, bits, lanes, epsilon)
-            {
+        for (i, (server, _, bits)) in eligible.iter().enumerate() {
+            if let Some(score) = self.score_cache.incremental_lookup(slot, *server, bits) {
                 resolved[i] = Some((score, false));
                 continue;
             }
@@ -720,8 +660,8 @@ impl AutoGlobeController {
         if !batch_rows.is_empty() {
             let rows: Vec<ServerInputs> = batch_rows.iter().map(|&i| eligible[i].1).collect();
             // On an engine failure (uniform across one rule base's inputs)
-            // every unresolved server stays skipped, exactly as the scalar
-            // path's per-server skip-on-error behaves.
+            // every unresolved server stays skipped, exactly as the
+            // exhaustive scan's per-server skip-on-error behaves.
             if let Ok(scores) =
                 self.server_selector
                     .score_batch(candidate.kind, service_name, &rows)
@@ -737,16 +677,15 @@ impl AutoGlobeController {
             }
         }
 
-        // Pass 3: anchor fresh verdicts for the epsilon gate and apply the
-        // administrator threshold.
+        // Pass 3: anchor fresh verdicts and apply the administrator
+        // threshold.
         let mut scored = Vec::new();
-        for (i, (server, _, bits, lanes)) in eligible.iter().enumerate() {
+        for (i, (server, _, bits)) in eligible.iter().enumerate() {
             let Some((score, refresh)) = resolved[i] else {
                 continue;
             };
             if refresh {
-                self.score_cache
-                    .store_verdict(slot, *server, *bits, *lanes, score);
+                self.score_cache.store_verdict(slot, *server, *bits, score);
             }
             if score >= self.config.min_host_score {
                 scored.push((*server, score));
@@ -757,105 +696,10 @@ impl AutoGlobeController {
         scored
     }
 
-    /// The seed scalar ranking pass: one engine run per candidate server
-    /// with a per-call pattern memo. Kept verbatim as the reference
-    /// [`ScoringMode::Scalar`] path.
-    fn rank_hosts_over_scalar(
-        &mut self,
-        candidate: &Candidate,
-        service_name: &str,
-        landscape: &Landscape,
-        loads: &dyn LoadView,
-        now: SimTime,
-        index: &HostIndex,
-    ) -> Vec<(ServerId, f64)> {
-        let current_host = candidate
-            .instance
-            .and_then(|i| landscape.instance(i).ok().map(|inst| inst.server));
-        let current_index = current_host
-            .and_then(|h| landscape.server(h).ok())
-            .map(|s| s.performance_index);
-
-        // The fuzzy score is a pure function of the ten crisp inputs, and a
-        // large pool is mostly identical idle servers (same tier, same zero
-        // load) — memoizing on the exact input bit patterns collapses those
-        // to one engine evaluation per distinct tier/load combination.
-        let mut memo: FastMap<[u64; 10], f64> = FastMap::default();
-
-        let mut scored = Vec::new();
-        for server in landscape.server_ids() {
-            // "Initially, these are all servers on which an instance of the
-            // service can be started and that are not in protection mode."
-            if self.protection.is_protected(Subject::Server(server), now) {
-                continue;
-            }
-            if Some(server) == current_host {
-                continue;
-            }
-            if !index.can_host(landscape, candidate.service, server) {
-                continue;
-            }
-            // A scale-out onto a host that already runs the service would
-            // split the same saturated CPU without adding capacity.
-            if candidate.kind == ActionKind::ScaleOut
-                && index.runs_service(server, candidate.service)
-            {
-                continue;
-            }
-            // Power direction for scale-up/down (cheap pre-filter; the
-            // constraint checker enforces it again at execution).
-            let Ok(spec) = landscape.server(server) else {
-                continue;
-            };
-            if let Some(from_idx) = current_index {
-                match candidate.kind {
-                    ActionKind::ScaleUp if spec.performance_index <= from_idx => continue,
-                    ActionKind::ScaleDown if spec.performance_index >= from_idx => continue,
-                    _ => {}
-                }
-            }
-            // Field-for-field what `ServerInputs::gather` produces, with the
-            // instance count read from the index instead of a table scan.
-            let inputs = ServerInputs {
-                cpu_load: loads.cpu(Subject::Server(server)),
-                mem_load: loads.mem(Subject::Server(server)),
-                instances_on_server: index.instance_count_on(server) as f64,
-                performance_index: spec.performance_index,
-                number_of_cpus: spec.num_cpus as f64,
-                cpu_clock: spec.cpu_clock_mhz as f64,
-                cpu_cache: spec.cpu_cache_kb as f64,
-                memory: spec.memory_mb as f64,
-                swap_space: spec.swap_mb as f64,
-                temp_space: spec.temp_space_mb as f64,
-            };
-            let mut key = [0u64; 10];
-            for (slot, (_, value)) in key.iter_mut().zip(inputs.measurements()) {
-                *slot = value.to_bits();
-            }
-            let score = match memo.get(&key) {
-                Some(&score) => score,
-                None => {
-                    let Ok(score) =
-                        self.server_selector
-                            .score(candidate.kind, service_name, &inputs)
-                    else {
-                        continue;
-                    };
-                    memo.insert(key, score);
-                    score
-                }
-            };
-            if score >= self.config.min_host_score {
-                scored.push((server, score));
-            }
-        }
-        scored.sort_unstable_by(host_order);
-        scored
-    }
-
     /// Reference implementation of host ranking: the original exhaustive
-    /// pass, one full-instance-table scan per server. Kept verbatim as the
-    /// oracle the indexed path is proven against.
+    /// pass, one full-instance-table scan and one scalar engine run per
+    /// server, no index and no cache. Kept verbatim as the oracle the
+    /// production path is proven against.
     fn rank_hosts_scan(
         &mut self,
         candidate: &Candidate,
@@ -940,11 +784,12 @@ impl AutoGlobeController {
         self.rank_hosts(&candidate, &service_name, landscape, loads, now)
     }
 
-    /// Rank target hosts through the exhaustive reference scan. Exists to
-    /// prove, bit for bit, that the index changes nothing: for any
+    /// Rank target hosts through the exhaustive reference scan — the one
+    /// ranking oracle. Exists to prove, bit for bit, that the index, the
+    /// batched engine cycle and the score cache change nothing: for any
     /// landscape, loads and action this returns exactly what
-    /// [`AutoGlobeController::rank_hosts_indexed`] returns — same hosts,
-    /// same order, same score bits.
+    /// [`AutoGlobeController::rank_hosts_indexed`] returns, cold or warm —
+    /// same hosts, same order, same score bits.
     pub fn rank_hosts_exhaustive(
         &mut self,
         kind: ActionKind,
@@ -1637,18 +1482,7 @@ mod tests {
         assert_eq!(signed_zero[0].0, ServerId::new(2));
     }
 
-    /// A controller with the paper rule bases and an explicit scoring mode
-    /// and incremental epsilon.
-    fn controller_with(scoring: ScoringMode, score_epsilon: f64) -> AutoGlobeController {
-        let config = ControllerConfig {
-            scoring,
-            score_epsilon,
-            ..ControllerConfig::default()
-        };
-        AutoGlobeController::with_rule_bases(RuleBases::paper_defaults(), config)
-    }
-
-    /// Mixed-load fixture state shared by the mode-equivalence tests.
+    /// Mixed-load fixture state shared by the engine, cache and NaN-lane tests.
     fn mixed_loads(f: &mut Fixture) {
         f.landscape.start_instance(f.fi, f.big).unwrap();
         f.loads.set(Subject::Server(f.blade1), 0.95, 0.5);
@@ -1661,26 +1495,41 @@ mod tests {
 
     #[test]
     fn batched_ranking_is_bit_identical_to_scalar_mode() {
+        // Every score the batched engine cycle produces — cache-cold, then
+        // served from the warm cache — equals one scalar engine run
+        // (`ServerSelector::score`) on that server's inputs, bit for bit.
         let mut f = fixture();
         mixed_loads(&mut f);
-        let mut batched = controller_with(ScoringMode::Batched, 0.0);
-        let mut scalar = controller_with(ScoringMode::Scalar, 0.0);
+        let mut c = AutoGlobeController::new();
         let now = SimTime::from_minutes(30);
+        let service_name = f.landscape.service(f.fi).unwrap().name.clone();
+        let mut compared = 0;
         for kind in ActionKind::ALL {
             let instance = kind_uses_instance(kind).then_some(f.i1);
-            let b = batched.rank_hosts_indexed(kind, f.fi, instance, &f.landscape, &f.loads, now);
-            let s = scalar.rank_hosts_indexed(kind, f.fi, instance, &f.landscape, &f.loads, now);
-            assert_eq!(b.len(), s.len(), "host count diverged for {kind:?}");
-            for (x, y) in b.iter().zip(s.iter()) {
-                assert_eq!(x.0, y.0, "host order diverged for {kind:?}");
-                assert_eq!(
-                    x.1.to_bits(),
-                    y.1.to_bits(),
-                    "score bits diverged for {kind:?} on {:?}",
-                    x.0
-                );
+            let cold = c.rank_hosts_indexed(kind, f.fi, instance, &f.landscape, &f.loads, now);
+            let warm = c.rank_hosts_indexed(kind, f.fi, instance, &f.landscape, &f.loads, now);
+            assert_eq!(cold.len(), warm.len(), "host count diverged for {kind:?}");
+            for ((server, score), (warm_server, warm_score)) in cold.iter().zip(warm.iter()) {
+                assert_eq!(server, warm_server, "host order diverged for {kind:?}");
+                let inputs = ServerInputs::gather(&f.landscape, &f.loads, *server).unwrap();
+                let scalar = c
+                    .server_selector
+                    .score(kind, &service_name, &inputs)
+                    .unwrap();
+                for (label, batched) in [("cold", score), ("warm", warm_score)] {
+                    assert_eq!(
+                        batched.to_bits(),
+                        scalar.to_bits(),
+                        "{label} score bits diverged for {kind:?} on {server:?}"
+                    );
+                }
+                compared += 1;
             }
+            let mut sorted = cold.clone();
+            sorted.sort_unstable_by(host_order);
+            assert_eq!(cold, sorted, "ranking not in host order for {kind:?}");
         }
+        assert!(compared > 0, "the fixture must rank some hosts");
     }
 
     #[test]
@@ -1769,25 +1618,30 @@ mod tests {
     fn nan_load_lanes_are_excluded_in_both_scoring_modes() {
         let mut f = fixture();
         mixed_loads(&mut f);
-        // Poison one candidate's CPU lane. The engine now rejects non-finite
+        // Poison one candidate's CPU lane. The engine rejects non-finite
         // measurements with a typed error, so the server is skipped instead
-        // of ranked on a NaN-poisoned score — in both modes, without
-        // aborting the rest of the batch.
+        // of ranked on a NaN-poisoned score — by the batched path without
+        // aborting the rest of the batch, and by the scalar oracle.
         f.loads.set(Subject::Server(f.big), f64::NAN, 0.3);
         let now = SimTime::from_minutes(30);
-        for (label, mode) in [
-            ("batched", ScoringMode::Batched),
-            ("scalar", ScoringMode::Scalar),
-        ] {
-            let mut c = controller_with(mode, 0.0);
-            let hosts = c.rank_hosts_indexed(
-                ActionKind::Move,
-                f.fi,
-                Some(f.i1),
-                &f.landscape,
-                &f.loads,
-                now,
-            );
+        let mut c = AutoGlobeController::new();
+        let batched = c.rank_hosts_indexed(
+            ActionKind::Move,
+            f.fi,
+            Some(f.i1),
+            &f.landscape,
+            &f.loads,
+            now,
+        );
+        let oracle = c.rank_hosts_exhaustive(
+            ActionKind::Move,
+            f.fi,
+            Some(f.i1),
+            &f.landscape,
+            &f.loads,
+            now,
+        );
+        for (label, hosts) in [("batched", &batched), ("oracle", &oracle)] {
             assert!(
                 hosts.iter().all(|(s, _)| *s != f.big),
                 "{label}: NaN-lane server must not be ranked: {hosts:?}"
@@ -1801,78 +1655,6 @@ mod tests {
                 "{label}: healthy candidates must still be ranked"
             );
         }
-    }
-
-    #[test]
-    fn nonzero_epsilon_skips_reinference_and_zero_epsilon_does_not() {
-        let mut f = fixture();
-        mixed_loads(&mut f);
-        let now = SimTime::from_minutes(30);
-
-        // Opt-in fast mode: a sub-epsilon load move keeps the cached
-        // verdicts (same scores, no re-inference).
-        let mut fast = controller_with(ScoringMode::Batched, 0.05);
-        let before = fast.rank_hosts_indexed(
-            ActionKind::Move,
-            f.fi,
-            Some(f.i1),
-            &f.landscape,
-            &f.loads,
-            now,
-        );
-        f.loads.set(Subject::Server(f.blade2), 0.11, 0.21);
-        let after = fast.rank_hosts_indexed(
-            ActionKind::Move,
-            f.fi,
-            Some(f.i1),
-            &f.landscape,
-            &f.loads,
-            now,
-        );
-        assert!(
-            fast.score_cache_stats().incremental_hits > 0,
-            "sub-epsilon drift must reuse verdicts: {:?}",
-            fast.score_cache_stats()
-        );
-        assert_eq!(before.len(), after.len());
-        for (a, b) in before.iter().zip(after.iter()) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
-
-        // Pinned equivalence at epsilon 0: the same drift re-evaluates and
-        // lands bit-identical to the scalar seed path.
-        let mut exact = controller_with(ScoringMode::Batched, 0.0);
-        exact.rank_hosts_indexed(
-            ActionKind::Move,
-            f.fi,
-            Some(f.i1),
-            &f.landscape,
-            &f.loads,
-            now,
-        );
-        f.loads.set(Subject::Server(f.blade2), 0.12, 0.22);
-        let exact_hosts = exact.rank_hosts_indexed(
-            ActionKind::Move,
-            f.fi,
-            Some(f.i1),
-            &f.landscape,
-            &f.loads,
-            now,
-        );
-        let mut scalar = controller_with(ScoringMode::Scalar, 0.0);
-        let scalar_hosts = scalar.rank_hosts_indexed(
-            ActionKind::Move,
-            f.fi,
-            Some(f.i1),
-            &f.landscape,
-            &f.loads,
-            now,
-        );
-        assert_eq!(exact_hosts.len(), scalar_hosts.len());
-        for (a, b) in exact_hosts.iter().zip(scalar_hosts.iter()) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
+        assert_eq!(batched, oracle);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! [`Landscape::can_host`] and [`crate::ServerInputs::gather`] each scan
 //! the full instance table, so ranking hosts for one trigger used to cost
-//! O(servers × instances) — superlinear in landscape size and the latent
-//! blowup the scale ladder exposed at the 1,000-server rung. [`HostIndex`]
+//! O(servers × instances) — superlinear in landscape size, and the latent
+//! blowup that dominated decisions at 1,000 servers. [`HostIndex`]
 //! folds the instance table once into dense per-server arrays (instance
 //! count, memory in use, distinct resident services), after which every
 //! per-server constraint question is O(log residents) or O(1) and a whole
@@ -11,8 +11,9 @@
 //!
 //! The index answers exactly the same questions as the exhaustive scans —
 //! [`AutoGlobeController::rank_hosts_indexed`] is proven bit-identical to
-//! [`AutoGlobeController::rank_hosts_exhaustive`] by tests and by the
-//! `experiments scale` harness at every ladder rung.
+//! [`AutoGlobeController::rank_hosts_exhaustive`], the ranking oracle, by
+//! the unit tests and by the seeded property test over synthetic
+//! landscapes (`tests/properties.rs`).
 //!
 //! [`AutoGlobeController::rank_hosts_indexed`]: crate::AutoGlobeController::rank_hosts_indexed
 //! [`AutoGlobeController::rank_hosts_exhaustive`]: crate::AutoGlobeController::rank_hosts_exhaustive

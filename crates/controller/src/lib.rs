@@ -45,8 +45,7 @@ pub mod variables;
 
 pub use cache::ScoreCacheStats;
 pub use controller::{
-    AutoGlobeController, ControllerConfig, ExecutionMode, PendingAction, ScoringMode,
-    TriggerOutcome,
+    AutoGlobeController, ControllerConfig, ExecutionMode, PendingAction, TriggerOutcome,
 };
 pub use executor::{ActionExecutor, DecidedAction, ExecutionEvent, ExecutorConfig, PlannedTrigger};
 pub use index::HostIndex;

@@ -1,13 +1,15 @@
 //! Seeded property tests for controller invariants: rankings stay bounded,
 //! decisions are deterministic, executed actions never violate the
-//! declarative constraints — and overload remedies do not fade out as the
-//! overload worsens (the regression that motivated `NOT cpuLoad IS low`).
+//! declarative constraints, overload remedies do not fade out as the
+//! overload worsens (the regression that motivated `NOT cpuLoad IS low`) —
+//! and the production host ranking equals the exhaustive scalar oracle.
 
 use autoglobe_controller::inputs::{ActionInputs, TableLoads};
 use autoglobe_controller::{ActionSelector, AutoGlobeController, RuleBases};
 use autoglobe_fuzzy::EngineConfig;
+use autoglobe_landscape::synth::{generate, SynthConfig};
 use autoglobe_landscape::{
-    check_action, ActionKind, Landscape, ServerSpec, ServiceKind, ServiceSpec,
+    check_action, ActionKind, Landscape, ServerId, ServerSpec, ServiceKind, ServiceSpec,
 };
 use autoglobe_monitor::{SimTime, Subject, TriggerEvent, TriggerKind};
 use autoglobe_rng::{check, Rng};
@@ -309,4 +311,99 @@ fn decisions_are_deterministic() {
         };
         assert_eq!(build(), build());
     });
+}
+
+#[test]
+fn batched_rankings_match_the_exhaustive_oracle_on_synth_landscapes() {
+    // The production ranking (host index, batched engine cycle, score
+    // cache) must return exactly what the exhaustive scalar scan returns —
+    // same hosts, same order, same score bits — for every action kind:
+    // with the cache cold (flushed before the ranking), and warm (a
+    // controller that never flushes) as a tick would see it — a repeat
+    // served by the verdict layer, a third of the servers' loads moved
+    // under an unchanged revision, and a revision bump that leaves only the
+    // pattern memo. Loads sit on a 0.05 grid so servers of one tier share
+    // input patterns and score ties.
+    check::cases(4, |rng| {
+        let servers = rng.random_int(20..=140) as usize;
+        let mut landscape = generate(&SynthConfig::sized(servers, rng.next_u64())).landscape;
+        let mut grid = || rng.random_int(0..=20) as f64 / 20.0;
+        let mut loads = TableLoads::new();
+        for server in landscape.server_ids() {
+            loads.set(Subject::Server(server), grid(), grid());
+        }
+        for service in landscape.service_ids() {
+            loads.set(Subject::Service(service), grid(), grid());
+            for instance in landscape.instances_of(service) {
+                loads.set(Subject::Instance(instance), grid(), 0.0);
+            }
+        }
+        let mut moved = loads.clone();
+        for server in landscape.server_ids().step_by(3) {
+            moved.set(Subject::Server(server), grid(), grid());
+        }
+        let first = landscape.server_ids().next().expect("a server");
+        let now = SimTime::from_hours(9);
+        let mut cold = AutoGlobeController::new();
+        let mut warm = AutoGlobeController::new();
+        let services: Vec<_> = landscape.service_ids().collect();
+        for kind in ActionKind::ALL {
+            for &service in &services {
+                let instance = kind
+                    .needs_target()
+                    .then(|| landscape.instances_of(service).into_iter().next())
+                    .flatten();
+                let rank = |c: &mut AutoGlobeController, l: &Landscape, loads: &TableLoads| {
+                    c.rank_hosts_indexed(kind, service, instance, l, loads, now)
+                };
+                let expected =
+                    cold.rank_hosts_exhaustive(kind, service, instance, &landscape, &loads, now);
+                let expected_moved =
+                    cold.rank_hosts_exhaustive(kind, service, instance, &landscape, &moved, now);
+                cold.clear_score_cache();
+                let mut variants = vec![
+                    ("cold", rank(&mut cold, &landscape, &loads), &expected),
+                    ("warm", rank(&mut warm, &landscape, &loads), &expected),
+                    (
+                        "warm repeat",
+                        rank(&mut warm, &landscape, &loads),
+                        &expected,
+                    ),
+                    (
+                        "warm, loads moved",
+                        rank(&mut warm, &landscape, &moved),
+                        &expected_moved,
+                    ),
+                ];
+                // An allocation-neutral write: the revision moves, so the
+                // verdict layer flushes while the pattern memo survives.
+                landscape.set_available(first, true).unwrap();
+                variants.push((
+                    "warm after a revision bump",
+                    rank(&mut warm, &landscape, &loads),
+                    &expected,
+                ));
+                for (label, ranked, expected) in &variants {
+                    assert_eq!(
+                        bits(ranked),
+                        bits(expected),
+                        "{label} ranking diverged for {kind:?} on {service} ({servers} servers)"
+                    );
+                }
+            }
+        }
+        let stats = warm.score_cache_stats();
+        assert!(
+            stats.pattern_hits > 0 && stats.incremental_hits > 0,
+            "the warm rankings must be served from both cache layers: {stats:?}"
+        );
+    });
+}
+
+/// A ranking with its scores as bit patterns, for exact comparison.
+fn bits(ranked: &[(ServerId, f64)]) -> Vec<(ServerId, u64)> {
+    ranked
+        .iter()
+        .map(|&(s, score)| (s, score.to_bits()))
+        .collect()
 }

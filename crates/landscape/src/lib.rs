@@ -22,8 +22,8 @@
 //!   landscape for the sharded control plane: every server hashes to one
 //!   shard, services hash on their own id.
 //! * **Synthetic landscapes** ([`synth`]) — seeded, tiered generator for
-//!   the 100×–1000× scale ladder: paper-shaped subsystems at arbitrary
-//!   server counts with millions of aggregate users.
+//!   landscapes 100×–1000× the paper's: paper-shaped subsystems at
+//!   arbitrary server counts with millions of aggregate users.
 //! * **The declarative XML description language** ([`xml`]) — landscapes,
 //!   service constraints and fuzzy rule bases are described in XML, parsed
 //!   by a from-scratch minimal XML parser (the paper uses a proprietary

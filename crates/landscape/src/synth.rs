@@ -1,4 +1,4 @@
-//! Synthetic landscape generation for the scale ladder.
+//! Synthetic landscape generation beyond the paper's 19 servers.
 //!
 //! The paper's evaluation landscape has 19 servers and ~10 services
 //! (Figure 11) — too small to expose superlinear behaviour in trigger
