@@ -103,7 +103,9 @@ const REPLICA_SEED_DOMAIN: u64 = 0x5EED_5A4D_0003;
 pub struct IngestStats {
     /// Measurements buffered through `record_*` and consumed by ticks.
     pub buffered: u64,
-    /// Supervisor-side measurement ingestions (archive + advisor records).
+    /// Supervisor-side measurement ingestions: measurements an owner
+    /// recorded (server and service samples into its archive, samples of
+    /// monitored subjects into their advisors).
     pub ingested: u64,
 }
 

@@ -508,7 +508,9 @@ impl Supervisor {
         &mut self.controller
     }
 
-    /// The historic load archive.
+    /// The historic load archive of servers and services, the subjects
+    /// proactive checks forecast. Instance measurements reach the load
+    /// view and any registered advisor, not the archive.
     pub fn archive(&self) -> &LoadArchive {
         &self.archive
     }
@@ -617,7 +619,11 @@ impl Supervisor {
         if !self.owns_subject(subject) {
             return;
         }
-        self.archive.record(subject, time, cpu, mem);
+        // The archive keeps what `ProactiveTrigger::check` reads: servers
+        // and services. Instance history would never be queried.
+        if !matches!(subject, Subject::Instance(_)) {
+            self.archive.record(subject, time, cpu, mem);
+        }
         // Instances are not registered as monitored subjects by default
         // (triggers come from servers and services), but measurements for
         // registered ones flow through.
@@ -1311,6 +1317,24 @@ mod tests {
             )
             .unwrap();
         assert!((avg - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn archive_holds_servers_and_services_only() {
+        let (mut sup, blade, _big, fi, instance) = minimal();
+        let t = SimTime::from_minutes(1);
+        sup.record_server(blade, t, 0.5, 0.2);
+        sup.record_service(fi, t, 0.4);
+        sup.record_instance(instance, t, 0.3);
+        assert_eq!(
+            sup.archive().subjects().collect::<Vec<_>>(),
+            vec![Subject::Server(blade), Subject::Service(fi)]
+        );
+        assert_eq!(
+            sup.load_view().cpu(Subject::Instance(instance)),
+            0.3,
+            "the instance's load still reaches the load view"
+        );
     }
 
     /// The default configuration must reproduce the original synchronous

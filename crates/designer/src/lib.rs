@@ -9,10 +9,10 @@
 //!
 //! Given the declarative landscape (servers with performance indices and
 //! constraints) and per-instance **demand profiles** (CPU demand by
-//! time-of-day slot — from the load archive via
-//! `autoglobe_forecast`'s daily profiles, or synthetic), the designer
-//! computes an initial allocation that minimizes the worst per-server load
-//! across the day:
+//! time-of-day slot — a service's daily profile from the load archive,
+//! which keeps services and servers but not single instances, or
+//! synthetic), the designer computes an initial allocation that minimizes
+//! the worst per-server load across the day:
 //!
 //! 1. **First-fit decreasing**: instances sorted by peak demand, each placed
 //!    on the feasible server that minimizes the resulting peak load —

@@ -46,6 +46,16 @@ pub struct Forecast {
     pub confidence: f64,
 }
 
+/// What the forecasts of one subject at one `now` share: the daily
+/// profile, the level correction and the periodicity confidence.
+struct History {
+    profile: Vec<f64>,
+    correction: f64,
+    /// Whether the correction window held any data.
+    weighted: bool,
+    confidence: f64,
+}
+
 /// Pattern-matching forecaster over one subject's archived load.
 #[derive(Debug, Clone)]
 pub struct Forecaster {
@@ -77,13 +87,59 @@ impl Forecaster {
         now: SimTime,
         target: SimTime,
     ) -> Forecast {
-        let slot_secs = self.config.slot.as_secs().max(1);
-        let profile = archive.daily_profile(subject, self.config.slot);
-        let slots = profile.len().max(1);
-        let slot_of = |t: SimTime| ((t.second_of_day() / slot_secs) as usize).min(slots - 1);
+        self.forecast_at(&self.history(archive, subject, now), target)
+    }
 
-        // Base prediction: the profile at the target's time of day.
-        let base = profile.get(slot_of(target)).copied().unwrap_or(0.0);
+    /// Forecast an entire horizon at slot resolution. The archive is read
+    /// once for the whole series, not once per step.
+    pub fn predict_series(
+        &self,
+        archive: &LoadArchive,
+        subject: Subject,
+        now: SimTime,
+        horizon: SimDuration,
+    ) -> Vec<Forecast> {
+        let step = self.config.slot.as_secs().max(1);
+        let steps = horizon.as_secs() / step;
+        let history = self.history(archive, subject, now);
+        (1..=steps)
+            .map(|i| self.forecast_at(&history, now + SimDuration::from_secs(i * step)))
+            .collect()
+    }
+
+    /// The forecast for `target`: the profile at the target's time of day
+    /// plus the level correction.
+    fn forecast_at(&self, history: &History, target: SimTime) -> Forecast {
+        let base = history
+            .profile
+            .get(self.slot_of(history.profile.len(), target))
+            .copied()
+            .unwrap_or(0.0);
+        if !history.weighted && base == 0.0 {
+            // Nothing known at all.
+            return Forecast {
+                time: target,
+                cpu: 0.0,
+                confidence: 0.0,
+            };
+        }
+        Forecast {
+            time: target,
+            cpu: (base + history.correction).clamp(0.0, 1.0),
+            confidence: history.confidence,
+        }
+    }
+
+    /// The profile slot `t` falls in, for a profile of `slots` entries.
+    fn slot_of(&self, slots: usize, t: SimTime) -> usize {
+        let slot_secs = self.config.slot.as_secs().max(1);
+        ((t.second_of_day() / slot_secs) as usize).min(slots.max(1) - 1)
+    }
+
+    /// Everything a forecast at `now` reads from the archive; none of it
+    /// depends on the target.
+    fn history(&self, archive: &LoadArchive, subject: Subject, now: SimTime) -> History {
+        let profile = archive.daily_profile(subject, self.config.slot);
 
         // Level correction: how far today deviates from the profile over
         // the recent correction window, exponentially smoothed.
@@ -95,7 +151,10 @@ impl Forecaster {
         while t <= now {
             let observed = archive.average_cpu(subject, t, t + step);
             if let Some(observed) = observed {
-                let expected = profile.get(slot_of(t)).copied().unwrap_or(0.0);
+                let expected = profile
+                    .get(self.slot_of(profile.len(), t))
+                    .copied()
+                    .unwrap_or(0.0);
                 correction = if weighted {
                     self.config.alpha * (observed - expected)
                         + (1.0 - self.config.alpha) * correction
@@ -109,43 +168,12 @@ impl Forecaster {
 
         // Confidence from the periodicity of the archived series.
         let confidence = self.periodicity_confidence(archive, subject, now);
-
-        if !weighted && base == 0.0 {
-            // Nothing known at all.
-            return Forecast {
-                time: target,
-                cpu: 0.0,
-                confidence: 0.0,
-            };
-        }
-
-        Forecast {
-            time: target,
-            cpu: (base + correction).clamp(0.0, 1.0),
+        History {
+            profile,
+            correction,
+            weighted,
             confidence,
         }
-    }
-
-    /// Forecast an entire horizon at slot resolution.
-    pub fn predict_series(
-        &self,
-        archive: &LoadArchive,
-        subject: Subject,
-        now: SimTime,
-        horizon: SimDuration,
-    ) -> Vec<Forecast> {
-        let step = self.config.slot.as_secs().max(1);
-        let steps = horizon.as_secs() / step;
-        (1..=steps)
-            .map(|i| {
-                self.predict(
-                    archive,
-                    subject,
-                    now,
-                    now + SimDuration::from_secs(i * step),
-                )
-            })
-            .collect()
     }
 
     fn periodicity_confidence(&self, archive: &LoadArchive, subject: Subject, now: SimTime) -> f64 {
@@ -266,6 +294,25 @@ mod tests {
         assert!(series.windows(2).all(|w| w[0].time < w[1].time));
         for p in &series {
             assert!((0.0..=1.0).contains(&p.cpu));
+        }
+    }
+
+    #[test]
+    fn series_equals_pointwise_predictions() {
+        // One archive read per series must give what one read per target
+        // gave: the same forecasts, bit for bit.
+        let empty = LoadArchive::new(SimDuration::from_minutes(1));
+        let f = Forecaster::new();
+        for (archive, now) in [
+            (archive_with_days(3), SimTime::from_hours(3 * 24 + 7)),
+            (archive_with_days(1), SimTime::from_hours(20)),
+            (empty, SimTime::from_hours(5)),
+        ] {
+            let series = f.predict_series(&archive, subject(), now, SimDuration::from_hours(3));
+            assert_eq!(series.len(), 6);
+            for p in series {
+                assert_eq!(p, f.predict(&archive, subject(), now, p.time));
+            }
         }
     }
 

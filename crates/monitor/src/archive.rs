@@ -5,20 +5,48 @@
 //! initialize all resource variables of the fuzzy controller" (Section 2).
 //! The paper's future work additionally mines it for load prediction — the
 //! `autoglobe-forecast` crate consumes the daily-profile queries below.
+//!
+//! # Layout
+//!
+//! Each subject owns one contiguous `Vec` of buckets, kept sorted by the
+//! bucket index (time / bucket width) stored in each bucket. A bucket is
+//! 40 bytes: the index, the CPU and memory sums, the CPU maximum and the
+//! sample count. Only buckets that hold data exist, so a far-future
+//! timestamp adds one bucket, not a gap.
+//!
+//! - A sample for the subject's newest bucket, or a later one, is a tail
+//!   update or a push: amortised O(1).
+//! - An out-of-order sample binary-searches its bucket and, when the
+//!   bucket is new, inserts it: O(log n) plus the shift of the later
+//!   buckets. It lands in the same bucket, with the same effect on the
+//!   sums, as it would have in time order.
+//! - A range query is two binary searches and a walk over the slice
+//!   between them, in ascending bucket order, so every float sum is taken
+//!   in the same order whatever order the samples arrived in.
+//!
+//! # Input rules
+//!
+//! - Loads are clamped to `[0, 1]`; ±∞ clamp to 1 or 0.
+//! - A sample whose CPU or memory load is NaN is dropped. One NaN would
+//!   poison its bucket's sums and, through them, the same time-of-day slot
+//!   of every later [`LoadArchive::daily_profile`].
 
 use crate::subject::Subject;
 use crate::time::{SimDuration, SimTime};
 use autoglobe_landscape::{InstanceId, ServerId, ServiceId};
-use std::collections::BTreeMap;
 
-/// One aggregation bucket.
+/// One aggregation bucket, tagged with its index so a subject's buckets
+/// can live in one sorted `Vec`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct Bucket {
+    index: u64,
     sum_cpu: f64,
     sum_mem: f64,
     max_cpu: f64,
     count: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Bucket>() == 40);
 
 impl Bucket {
     fn add(&mut self, cpu: f64, mem: f64) {
@@ -45,6 +73,14 @@ impl Bucket {
     }
 }
 
+/// The buckets of a sorted slice whose index lies in `[first, last]`
+/// (`first ≤ last`).
+fn window(buckets: &[Bucket], first: u64, last: u64) -> &[Bucket] {
+    let start = buckets.partition_point(|b| b.index < first);
+    let end = buckets.partition_point(|b| b.index <= last);
+    &buckets[start..end]
+}
+
 /// An aggregated load point returned by archive queries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArchivePoint {
@@ -60,15 +96,16 @@ pub struct ArchivePoint {
 
 /// Time-bucketed aggregated load storage, keyed by subject.
 ///
-/// The per-subject bucket maps live in dense per-kind lanes indexed by the
-/// raw id (ids are dense in this system): the per-tick record path resolves
-/// its subject with one array access instead of a tree descent.
+/// The per-subject bucket arrays live in dense per-kind lanes indexed by
+/// the raw id (ids are dense in this system): the per-tick record path
+/// resolves its subject with one array access. An empty array is a subject
+/// without data.
 #[derive(Debug, Clone)]
 pub struct LoadArchive {
     bucket: SimDuration,
-    servers: Vec<Option<BTreeMap<u64, Bucket>>>,
-    services: Vec<Option<BTreeMap<u64, Bucket>>>,
-    instances: Vec<Option<BTreeMap<u64, Bucket>>>,
+    servers: Vec<Vec<Bucket>>,
+    services: Vec<Vec<Bucket>>,
+    instances: Vec<Vec<Bucket>>,
 }
 
 impl LoadArchive {
@@ -96,41 +133,56 @@ impl LoadArchive {
         time.as_secs() / self.bucket.as_secs()
     }
 
-    fn buckets(&self, subject: Subject) -> Option<&BTreeMap<u64, Bucket>> {
+    fn buckets(&self, subject: Subject) -> &[Bucket] {
         let (lane, idx) = match subject {
             Subject::Server(id) => (&self.servers, id.index()),
             Subject::Service(id) => (&self.services, id.index()),
             Subject::Instance(id) => (&self.instances, id.index()),
         };
-        lane.get(idx)?.as_ref()
+        lane.get(idx).map_or(&[], Vec::as_slice)
     }
 
-    /// Record a measurement.
+    /// Record a measurement. Loads are clamped to `[0, 1]`; a sample with
+    /// a NaN load is dropped (see the module docs).
     pub fn record(&mut self, subject: Subject, time: SimTime, cpu: f64, mem: f64) {
-        let idx = self.bucket_index(time);
+        if cpu.is_nan() || mem.is_nan() {
+            return;
+        }
+        let index = self.bucket_index(time);
         let (lane, i) = match subject {
             Subject::Server(id) => (&mut self.servers, id.index()),
             Subject::Service(id) => (&mut self.services, id.index()),
             Subject::Instance(id) => (&mut self.instances, id.index()),
         };
         if lane.len() <= i {
-            lane.resize_with(i + 1, || None);
+            lane.resize_with(i + 1, Vec::new);
         }
-        lane[i]
-            .get_or_insert_with(BTreeMap::new)
-            .entry(idx)
-            .or_default()
-            .add(cpu.clamp(0.0, 1.0), mem.clamp(0.0, 1.0));
+        let buckets = &mut lane[i];
+        let at = match buckets.last() {
+            Some(last) if last.index > index => buckets.partition_point(|b| b.index < index),
+            Some(last) if last.index == index => buckets.len() - 1,
+            _ => buckets.len(),
+        };
+        if buckets.get(at).is_none_or(|b| b.index != index) {
+            buckets.insert(
+                at,
+                Bucket {
+                    index,
+                    ..Bucket::default()
+                },
+            );
+        }
+        buckets[at].add(cpu.clamp(0.0, 1.0), mem.clamp(0.0, 1.0));
     }
 
     /// Average CPU load of `subject` over `[from, to)`. `None` if nothing
-    /// was recorded there.
+    /// was recorded there. When `to` falls in `from`'s bucket or before
+    /// it, the range is `from`'s bucket alone.
     pub fn average_cpu(&self, subject: Subject, from: SimTime, to: SimTime) -> Option<f64> {
-        let buckets = self.buckets(subject)?;
         let (lo, hi) = (self.bucket_index(from), self.bucket_index(to));
         let mut sum = 0.0;
         let mut count = 0u64;
-        for (_, b) in buckets.range(lo..hi.max(lo + 1)) {
+        for b in window(self.buckets(subject), lo, hi.saturating_sub(1).max(lo)) {
             sum += b.sum_cpu;
             count += b.count as u64;
         }
@@ -144,14 +196,14 @@ impl LoadArchive {
     /// The aggregated series of `subject` over `[from, to)`, one point per
     /// bucket that holds data.
     pub fn series(&self, subject: Subject, from: SimTime, to: SimTime) -> Vec<ArchivePoint> {
-        let Some(buckets) = self.buckets(subject) else {
-            return Vec::new();
-        };
         let (lo, hi) = (self.bucket_index(from), self.bucket_index(to));
-        buckets
-            .range(lo..hi.max(lo))
-            .map(|(&idx, b)| ArchivePoint {
-                time: SimTime::from_secs(idx * self.bucket.as_secs()),
+        if hi <= lo {
+            return Vec::new();
+        }
+        window(self.buckets(subject), lo, hi - 1)
+            .iter()
+            .map(|b| ArchivePoint {
+                time: SimTime::from_secs(b.index * self.bucket.as_secs()),
                 avg_cpu: b.avg_cpu(),
                 avg_mem: b.avg_mem(),
                 max_cpu: b.max_cpu,
@@ -169,14 +221,12 @@ impl LoadArchive {
         let slots = (86_400 / slot_secs) as usize;
         let mut sums = vec![0.0; slots];
         let mut counts = vec![0u64; slots];
-        if let Some(buckets) = self.buckets(subject) {
-            for (&idx, b) in buckets {
-                let start = idx * self.bucket.as_secs();
-                let slot_idx = ((start % 86_400) / slot_secs) as usize;
-                if slot_idx < slots {
-                    sums[slot_idx] += b.sum_cpu;
-                    counts[slot_idx] += b.count as u64;
-                }
+        for b in self.buckets(subject) {
+            let start = b.index * self.bucket.as_secs();
+            let slot_idx = ((start % 86_400) / slot_secs) as usize;
+            if slot_idx < slots {
+                sums[slot_idx] += b.sum_cpu;
+                counts[slot_idx] += b.count as u64;
             }
         }
         sums.iter()
@@ -186,13 +236,12 @@ impl LoadArchive {
     }
 
     /// Subjects with recorded data: servers, then services, then instances,
-    /// each in ascending id order (the order [`Subject`]'s derived `Ord`
-    /// gave the old map-backed storage).
+    /// each in ascending id order (the order of [`Subject`]'s derived `Ord`).
     pub fn subjects(&self) -> impl Iterator<Item = Subject> + '_ {
-        let present = |lane: &[Option<BTreeMap<u64, Bucket>>]| {
+        let present = |lane: &[Vec<Bucket>]| {
             lane.iter()
                 .enumerate()
-                .filter(|(_, slot)| slot.is_some())
+                .filter(|(_, buckets)| !buckets.is_empty())
                 .map(|(i, _)| i as u32)
                 .collect::<Vec<_>>()
         };
@@ -217,25 +266,24 @@ impl LoadArchive {
             .iter()
             .chain(&self.services)
             .chain(&self.instances)
-            .filter_map(|slot| slot.as_ref())
-            .map(BTreeMap::len)
+            .map(Vec::len)
             .sum()
     }
 
     /// Drop all data older than `horizon` before `now` (archive compaction).
     pub fn retain_recent(&mut self, now: SimTime, horizon: SimDuration) {
         let cutoff = self.bucket_index(now - horizon);
-        for slot in self
+        for buckets in self
             .servers
             .iter_mut()
             .chain(&mut self.services)
             .chain(&mut self.instances)
         {
-            if let Some(buckets) = slot {
-                *buckets = buckets.split_off(&cutoff);
-                if buckets.is_empty() {
-                    *slot = None;
-                }
+            let stale = buckets.partition_point(|b| b.index < cutoff);
+            if stale == buckets.len() {
+                *buckets = Vec::new();
+            } else {
+                buckets.drain(..stale);
             }
         }
     }
@@ -358,6 +406,63 @@ mod tests {
         let series = a.series(s, SimTime::ZERO, SimTime::from_minutes(1));
         assert_eq!(series[0].avg_cpu, 1.0);
         assert_eq!(series[0].avg_mem, 0.0);
+    }
+
+    #[test]
+    fn far_future_sample_adds_one_bucket() {
+        let mut a = minute_archive();
+        let s = subject();
+        a.record(s, SimTime::ZERO, 0.5, 0.1);
+        a.record(s, SimTime::from_secs(u64::MAX - 7), 0.25, 0.1);
+        assert_eq!(a.bucket_count(), 2);
+        let end = SimTime::from_secs(u64::MAX);
+        assert_eq!(a.average_cpu(s, end, end), Some(0.25));
+        assert_eq!(a.series(s, SimTime::ZERO, end).len(), 1);
+    }
+
+    #[test]
+    fn out_of_order_samples_land_in_their_bucket() {
+        let mut in_order = minute_archive();
+        let mut shuffled = minute_archive();
+        let s = subject();
+        let samples = [(0u64, 0.1), (30, 0.2), (60, 0.3), (600, 0.4), (610, 0.5)];
+        for &(sec, cpu) in &samples {
+            in_order.record(s, SimTime::from_secs(sec), cpu, 0.0);
+        }
+        for &i in &[3usize, 0, 4, 2, 1] {
+            let (sec, cpu) = samples[i];
+            shuffled.record(s, SimTime::from_secs(sec), cpu, 0.0);
+        }
+        let (from, to) = (SimTime::ZERO, SimTime::from_minutes(11));
+        assert_eq!(shuffled.bucket_count(), 3);
+        assert_eq!(shuffled.series(s, from, to), in_order.series(s, from, to));
+    }
+
+    #[test]
+    fn nan_samples_are_dropped() {
+        let mut clean = minute_archive();
+        let mut dirty = minute_archive();
+        let (s, other) = (subject(), Subject::Server(ServerId::new(1)));
+        for minute in 0..5 {
+            let t = SimTime::from_minutes(minute);
+            clean.record(s, t, 0.2 * minute as f64, 0.3);
+            dirty.record(s, t, 0.2 * minute as f64, 0.3);
+            if minute == 2 {
+                dirty.record(s, t, f64::NAN, 0.3);
+                dirty.record(s, t + SimDuration::from_secs(5), 0.4, f64::NAN);
+                dirty.record(other, t, f64::NAN, f64::NAN);
+            }
+        }
+        let (from, to) = (SimTime::ZERO, SimTime::from_minutes(5));
+        assert_eq!(
+            dirty.average_cpu(s, from, to),
+            clean.average_cpu(s, from, to)
+        );
+        assert_eq!(dirty.series(s, from, to), clean.series(s, from, to));
+        let hour = SimDuration::from_hours(1);
+        assert_eq!(dirty.daily_profile(s, hour), clean.daily_profile(s, hour));
+        assert_eq!(dirty.subjects().collect::<Vec<_>>(), vec![s]);
+        assert_eq!(dirty.bucket_count(), clean.bucket_count());
     }
 
     #[test]

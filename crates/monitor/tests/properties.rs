@@ -1,11 +1,12 @@
 //! Seeded property tests for the monitoring stack's invariants.
 
-use autoglobe_landscape::ServerId;
+use autoglobe_landscape::{InstanceId, ServerId, ServiceId};
 use autoglobe_monitor::{
     Advisor, LoadArchive, LoadMonitor, LoadSample, SimDuration, SimTime, Subject, SubjectConfig,
     TriggerKind,
 };
-use autoglobe_rng::check;
+use autoglobe_rng::{check, Rng};
+use std::collections::BTreeMap;
 
 fn subject() -> Subject {
     Subject::Server(ServerId::new(0))
@@ -137,6 +138,253 @@ fn archive_retention_is_a_clean_cut() {
         }
         let recent = archive.average_cpu(subject(), cutoff, now);
         assert!(recent.is_some(), "recent data must remain");
+    });
+}
+
+/// One bucket of [`ReferenceArchive`].
+#[derive(Debug, Default)]
+struct ReferenceBucket {
+    sum_cpu: f64,
+    sum_mem: f64,
+    max_cpu: f64,
+    count: u32,
+}
+
+/// The archive's semantics on one `BTreeMap` of buckets per subject — the
+/// tree-backed store `LoadArchive` replaced, kept here as its oracle.
+struct ReferenceArchive {
+    width: u64,
+    subjects: BTreeMap<Subject, BTreeMap<u64, ReferenceBucket>>,
+}
+
+impl ReferenceArchive {
+    fn new(width: u64) -> Self {
+        ReferenceArchive {
+            width,
+            subjects: BTreeMap::new(),
+        }
+    }
+
+    fn record(&mut self, subject: Subject, time: SimTime, cpu: f64, mem: f64) {
+        if cpu.is_nan() || mem.is_nan() {
+            return;
+        }
+        let (cpu, mem) = (cpu.clamp(0.0, 1.0), mem.clamp(0.0, 1.0));
+        let bucket = self
+            .subjects
+            .entry(subject)
+            .or_default()
+            .entry(time.as_secs() / self.width)
+            .or_default();
+        bucket.sum_cpu += cpu;
+        bucket.sum_mem += mem;
+        bucket.max_cpu = bucket.max_cpu.max(cpu);
+        bucket.count += 1;
+    }
+
+    /// Buckets from `from`'s bucket onwards, in ascending order.
+    fn buckets_from(
+        &self,
+        subject: Subject,
+        from: SimTime,
+    ) -> impl Iterator<Item = (u64, &ReferenceBucket)> {
+        self.subjects
+            .get(&subject)
+            .into_iter()
+            .flat_map(move |b| b.range(from.as_secs() / self.width..))
+            .map(|(&i, b)| (i, b))
+    }
+
+    /// `[from, to)` by bucket, or `from`'s bucket alone when `to` does not
+    /// lie past it.
+    fn average_cpu(&self, subject: Subject, from: SimTime, to: SimTime) -> Option<f64> {
+        let (lo, hi) = (from.as_secs() / self.width, to.as_secs() / self.width);
+        let mut sum = 0.0;
+        let mut count = 0u64;
+        for (_, b) in self
+            .buckets_from(subject, from)
+            .take_while(|&(i, _)| i < hi || i == lo)
+        {
+            sum += b.sum_cpu;
+            count += b.count as u64;
+        }
+        (count > 0).then(|| sum / count as f64)
+    }
+
+    /// `(start, avg_cpu, avg_mem, max_cpu)` per bucket in `[from, to)`.
+    fn series(&self, subject: Subject, from: SimTime, to: SimTime) -> Vec<(u64, f64, f64, f64)> {
+        let hi = to.as_secs() / self.width;
+        self.buckets_from(subject, from)
+            .take_while(|&(i, _)| i < hi)
+            .map(|(i, b)| {
+                let n = b.count as f64;
+                (i * self.width, b.sum_cpu / n, b.sum_mem / n, b.max_cpu)
+            })
+            .collect()
+    }
+
+    fn daily_profile(&self, subject: Subject, slot: u64) -> Vec<f64> {
+        let slots = (86_400 / slot) as usize;
+        let mut sums = vec![0.0; slots];
+        let mut counts = vec![0u64; slots];
+        for (i, b) in self.buckets_from(subject, SimTime::ZERO) {
+            let s = ((i * self.width % 86_400) / slot) as usize;
+            if s < slots {
+                sums[s] += b.sum_cpu;
+                counts[s] += b.count as u64;
+            }
+        }
+        sums.iter()
+            .zip(&counts)
+            .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
+            .collect()
+    }
+
+    fn retain_recent(&mut self, now: SimTime, horizon: SimDuration) {
+        let cutoff = (now - horizon).as_secs() / self.width;
+        for buckets in self.subjects.values_mut() {
+            *buckets = buckets.split_off(&cutoff);
+        }
+        self.subjects.retain(|_, b| !b.is_empty());
+    }
+
+    fn bucket_count(&self) -> usize {
+        self.subjects.values().map(BTreeMap::len).sum()
+    }
+}
+
+/// A load: mostly in `[0, 1]`, sometimes out of range, infinite or NaN.
+fn random_load(rng: &mut Rng) -> f64 {
+    match rng.random_below(20) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => rng.random_range(-0.5..=1.5),
+        _ => rng.random_range(0.0..=1.0),
+    }
+}
+
+/// Every query of `archive` agrees with `reference` bit for bit.
+fn assert_archives_agree(
+    archive: &LoadArchive,
+    reference: &ReferenceArchive,
+    subjects: &[Subject],
+    rng: &mut Rng,
+    (clock, latest): (u64, u64),
+) {
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    assert_eq!(
+        archive.subjects().collect::<Vec<_>>(),
+        reference.subjects.keys().copied().collect::<Vec<_>>()
+    );
+    assert_eq!(archive.bucket_count(), reference.bucket_count());
+    for &subject in subjects {
+        let mut windows = vec![(0, u64::MAX), (u64::MAX - 3_600, u64::MAX)];
+        for _ in 0..3 {
+            // Mostly the dense stretch behind the clock, sometimes all of it.
+            let end = if rng.random_bool(0.8) {
+                clock + 7_200
+            } else {
+                latest
+            };
+            windows.push((rng.random_int(0..=end), rng.random_int(0..=end)));
+        }
+        for (a, b) in windows {
+            let (from, to) = (SimTime::from_secs(a), SimTime::from_secs(b));
+            assert_eq!(
+                bits(archive.average_cpu(subject, from, to)),
+                bits(reference.average_cpu(subject, from, to)),
+                "average_cpu of {subject} over [{a}, {b})"
+            );
+            let series: Vec<_> = archive
+                .series(subject, from, to)
+                .iter()
+                .map(|p| {
+                    let f = |v: f64| v.to_bits();
+                    (p.time.as_secs(), f(p.avg_cpu), f(p.avg_mem), f(p.max_cpu))
+                })
+                .collect();
+            let expected: Vec<_> = reference
+                .series(subject, from, to)
+                .into_iter()
+                .map(|(t, c, m, x)| (t, c.to_bits(), m.to_bits(), x.to_bits()))
+                .collect();
+            assert_eq!(series, expected, "series of {subject} over [{a}, {b})");
+        }
+        let slot = *rng.choice(&[420u64, 1_800, 3_600, 86_400]);
+        let profile: Vec<u64> = archive
+            .daily_profile(subject, SimDuration::from_secs(slot))
+            .into_iter()
+            .map(f64::to_bits)
+            .collect();
+        let expected: Vec<u64> = reference
+            .daily_profile(subject, slot)
+            .into_iter()
+            .map(f64::to_bits)
+            .collect();
+        assert_eq!(
+            profile, expected,
+            "daily profile of {subject}, slot {slot}s"
+        );
+    }
+}
+
+#[test]
+fn flat_archive_matches_the_tree_oracle() {
+    // Random streams over all three subject kinds: in-order, same-bucket,
+    // out-of-order and far-apart timestamps (one near u64::MAX seconds),
+    // hostile loads and retention cuts. After every step each query must
+    // equal the tree-backed reference bit for bit.
+    let subjects = [
+        Subject::Server(ServerId::new(0)),
+        Subject::Server(ServerId::new(3)),
+        Subject::Service(ServiceId::new(1)),
+        Subject::Service(ServiceId::new(2)),
+        Subject::Instance(InstanceId::new(0)),
+        Subject::Instance(InstanceId::new(5)),
+    ];
+    check::cases(96, |rng| {
+        let width = *rng.choice(&[1u64, 7, 60, 3_600]);
+        let mut archive = LoadArchive::new(SimDuration::from_secs(width));
+        let mut reference = ReferenceArchive::new(width);
+        let near_max_step = rng.random_below(80);
+        let mut clock = 0u64;
+        let mut latest = 0u64;
+        for step in 0..80 {
+            let subject = *rng.choice(&subjects);
+            let time = if step == near_max_step {
+                u64::MAX - rng.random_int(0..=10_000)
+            } else {
+                match rng.random_below(10) {
+                    0..=3 => {
+                        clock += rng.random_int(0..=2 * width);
+                        clock
+                    }
+                    4 | 5 => clock - clock % width + rng.random_int(0..=width - 1),
+                    6 | 7 => rng.random_int(0..=clock),
+                    8 => clock + rng.random_int(1_000_000..=1_000_000_000_000),
+                    _ => {
+                        let now = SimTime::from_secs(rng.random_int(0..=latest));
+                        let horizon = SimDuration::from_secs(rng.random_int(0..=latest));
+                        archive.retain_recent(now, horizon);
+                        reference.retain_recent(now, horizon);
+                        assert_archives_agree(
+                            &archive,
+                            &reference,
+                            &subjects,
+                            rng,
+                            (clock, latest),
+                        );
+                        continue;
+                    }
+                }
+            };
+            latest = latest.max(time);
+            let (cpu, mem) = (random_load(rng), random_load(rng));
+            archive.record(subject, SimTime::from_secs(time), cpu, mem);
+            reference.record(subject, SimTime::from_secs(time), cpu, mem);
+            assert_archives_agree(&archive, &reference, &subjects, rng, (clock, latest));
+        }
     });
 }
 
