@@ -17,7 +17,8 @@ use crate::rulebase::RuleBases;
 use crate::selection::{ActionSelector, RankedAction, ServerSelector};
 use autoglobe_fuzzy::EngineConfig;
 use autoglobe_landscape::{
-    check_action, Action, ActionKind, InstanceId, Landscape, LandscapeError, ServerId, ServiceId,
+    check_action, Action, ActionKind, InstanceId, Landscape, LandscapeError, ServerId, ServerSpec,
+    ServiceId,
 };
 use autoglobe_monitor::{SimDuration, SimTime, Subject, TriggerEvent, TriggerKind};
 
@@ -524,7 +525,7 @@ impl AutoGlobeController {
     /// index while the allocation is unchanged; any landscape mutation —
     /// including one executed between two candidates of the same trigger —
     /// bumps the revision and forces a rebuild.
-    fn take_index(&mut self, landscape: &Landscape) -> HostIndex {
+    pub(crate) fn take_index(&mut self, landscape: &Landscape) -> HostIndex {
         match self.host_index.take() {
             Some((cached, index)) if cached == landscape.revision() => index,
             // A stale index still owns every buffer the rebuild needs.
@@ -539,7 +540,7 @@ impl AutoGlobeController {
     /// Put side of the memo: re-key the index at the landscape's current
     /// revision. Callers never mutate the landscape while holding the index,
     /// so the revision read here is the one the index was valid for.
-    fn put_index(&mut self, landscape: &Landscape, index: HostIndex) {
+    pub(crate) fn put_index(&mut self, landscape: &Landscape, index: HostIndex) {
         self.host_index = Some((landscape.revision(), index));
     }
 
@@ -607,18 +608,7 @@ impl AutoGlobeController {
                     _ => {}
                 }
             }
-            let inputs = ServerInputs {
-                cpu_load: loads.cpu(Subject::Server(server)),
-                mem_load: loads.mem(Subject::Server(server)),
-                instances_on_server: index.instance_count_on(server) as f64,
-                performance_index: spec.performance_index,
-                number_of_cpus: spec.num_cpus as f64,
-                cpu_clock: spec.cpu_clock_mhz as f64,
-                cpu_cache: spec.cpu_cache_kb as f64,
-                memory: spec.memory_mb as f64,
-                swap_space: spec.swap_mb as f64,
-                temp_space: spec.temp_space_mb as f64,
-            };
+            let inputs = gather_server_inputs(spec, index, loads, server);
             let mut bits = [0u64; 10];
             let mut finite = true;
             for (slot, (_, value)) in bits.iter_mut().zip(inputs.measurements()) {
@@ -1001,6 +991,30 @@ fn gather_action_inputs(
         instances_of_service: index.instance_count_of(service) as f64,
         instance_demand: instance_load * spec.performance_index,
     })
+}
+
+/// The ten server-selection lanes of `server`, whose spec is `spec`, with
+/// `instancesOnServer` read from the index — what [`ServerInputs::gather`]
+/// returns, without its instance-table scan. Shared by host ranking and the
+/// restart search.
+pub(crate) fn gather_server_inputs(
+    spec: &ServerSpec,
+    index: &HostIndex,
+    loads: &dyn LoadView,
+    server: ServerId,
+) -> ServerInputs {
+    ServerInputs {
+        cpu_load: loads.cpu(Subject::Server(server)),
+        mem_load: loads.mem(Subject::Server(server)),
+        instances_on_server: index.instance_count_on(server) as f64,
+        performance_index: spec.performance_index,
+        number_of_cpus: spec.num_cpus as f64,
+        cpu_clock: spec.cpu_clock_mhz as f64,
+        cpu_cache: spec.cpu_cache_kb as f64,
+        memory: spec.memory_mb as f64,
+        swap_space: spec.swap_mb as f64,
+        temp_space: spec.temp_space_mb as f64,
+    }
 }
 
 fn representative_instance(

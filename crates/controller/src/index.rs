@@ -9,14 +9,23 @@
 //! per-server constraint question is O(log residents) or O(1) and a whole
 //! trigger decision is O(instances + servers).
 //!
+//! The index has two users, both through the controller's
+//! revision-keyed memo: host ranking on the trigger path, and the
+//! self-healing restart search
+//! ([`AutoGlobeController::best_restart_host`]), which takes its placement
+//! check and `instancesOnServer` from here, so a restart costs one rebuild
+//! instead of up to three instance-table scans per server.
+//!
 //! The index answers exactly the same questions as the exhaustive scans —
 //! [`AutoGlobeController::rank_hosts_indexed`] is proven bit-identical to
 //! [`AutoGlobeController::rank_hosts_exhaustive`], the ranking oracle, by
 //! the unit tests and by the seeded property test over synthetic
-//! landscapes (`tests/properties.rs`).
+//! landscapes (`tests/properties.rs`), which also holds the restart
+//! search to the exhaustive scan it replaced.
 //!
 //! [`AutoGlobeController::rank_hosts_indexed`]: crate::AutoGlobeController::rank_hosts_indexed
 //! [`AutoGlobeController::rank_hosts_exhaustive`]: crate::AutoGlobeController::rank_hosts_exhaustive
+//! [`AutoGlobeController::best_restart_host`]: crate::AutoGlobeController::best_restart_host
 //! [`Landscape::can_host`]: autoglobe_landscape::Landscape::can_host
 
 use autoglobe_landscape::{InstanceId, Landscape, ServerId, ServiceId};

@@ -11,8 +11,34 @@
 //! take it, else on the best-scoring other host. A failed *server* is marked
 //! unavailable and every instance it ran is restarted elsewhere; instances
 //! with no feasible host are reported as lost via an administrator alert.
+//!
+//! # The restart search
+//!
+//! [`AutoGlobeController::best_restart_host`] runs on the machinery of the
+//! trigger path: the revision-memoized [`crate::HostIndex`] answers the
+//! placement check and `instancesOnServer`, the protection set is
+//! snapshotted once, and every feasible host is scored in **one**
+//! column-wise engine cycle ([`crate::ServerSelector::score_batch`] with
+//! [`ActionKind::Start`]). A restart therefore costs one index rebuild,
+//! O(instances + servers) — each restart of a failed server's instances
+//! follows a landscape write, so the memo is rebuilt, never reused stale —
+//! plus one batched engine cycle, instead of up to three instance-table
+//! scans and one scalar engine run per server. Its result is the
+//! exhaustive scalar scan's, under five rules:
+//!
+//! 1. Servers are visited in ascending id; the first server that can host
+//!    the service is the *fallback*, even when it cannot be scored.
+//! 2. A protected host stays eligible — losing an instance is worse than
+//!    disturbing a protected host — but its score is multiplied by 0.5.
+//! 3. The winner is the first host whose (penalised) score is strictly
+//!    greater than every earlier one, so ties go to the lowest id.
+//! 4. A host with a non-finite input lane is dropped before the batch: the
+//!    engine rejects a whole batch for one such value, where a per-host
+//!    run skipped only that host.
+//! 5. An engine error (a broken service-specific Start rule base) leaves
+//!    every host unscored, and the fallback wins.
 
-use crate::controller::AutoGlobeController;
+use crate::controller::{gather_server_inputs, AutoGlobeController};
 use crate::inputs::{LoadView, ServerInputs};
 use crate::log::ControllerEvent;
 use autoglobe_landscape::{ActionKind, InstanceId, Landscape, ServerId, ServiceId};
@@ -122,11 +148,20 @@ impl AutoGlobeController {
     /// The best feasible host for restarting an instance of `service`, or
     /// `None` only when no server can take it at all.
     ///
-    /// A host that cannot be gathered or scored (e.g. a broken
-    /// service-specific placement rule base) is skipped, not allowed to
-    /// abort the whole search; if *no* candidate could be scored the first
-    /// feasible host wins — losing an instance is strictly worse than an
-    /// unscored placement.
+    /// Cost: one [`crate::HostIndex`] rebuild when the landscape moved since
+    /// the controller last used it (O(instances + servers)), one O(servers)
+    /// pass of constant-time placement checks, and one batched engine cycle
+    /// over the feasible hosts. The rules, as in the [module docs](self):
+    ///
+    /// - hosts are visited in ascending id, and the first feasible one is
+    ///   the fallback even when it cannot be scored;
+    /// - a protected host stays eligible at half its score;
+    /// - the first host whose penalised score is strictly greater than
+    ///   every earlier one wins;
+    /// - a host with a non-finite input lane is left out of the batch (it
+    ///   can still be the fallback);
+    /// - an engine error leaves every host unscored, so the fallback wins —
+    ///   losing an instance is strictly worse than an unscored placement.
     pub fn best_restart_host(
         &mut self,
         service: ServiceId,
@@ -134,36 +169,42 @@ impl AutoGlobeController {
         loads: &dyn LoadView,
         now: SimTime,
     ) -> Option<ServerId> {
-        let service_name = landscape.service(service).ok()?.name.clone();
-        let mut best: Option<(ServerId, f64)> = None;
+        let service_name = &landscape.service(service).ok()?.name;
+        let protected = self.protection().protected_servers(now);
+        let index = self.take_index(landscape);
         let mut fallback: Option<ServerId> = None;
+        // One batch row per scorable feasible host, in ascending id order.
+        let mut hosts: Vec<ServerId> = Vec::new();
+        let mut rows: Vec<ServerInputs> = Vec::new();
         for server in landscape.server_ids() {
-            if !landscape.can_host(service, server) {
+            if !index.can_host(landscape, service, server) {
                 continue;
             }
             fallback = fallback.or(Some(server));
-            // Protected hosts are still acceptable for recovery — losing an
-            // instance is worse than disturbing a protected host — but they
-            // score last among equals.
-            let penalty = if self
-                .protection()
-                .is_protected(autoglobe_monitor::Subject::Server(server), now)
-            {
+            let Ok(spec) = landscape.server(server) else {
+                continue;
+            };
+            let inputs = gather_server_inputs(spec, &index, loads, server);
+            if !inputs.measurements().iter().all(|(_, v)| v.is_finite()) {
+                continue;
+            }
+            hosts.push(server);
+            rows.push(inputs);
+        }
+        self.put_index(landscape, index);
+        let scores = self
+            .server_selector_mut()
+            .score_batch(ActionKind::Start, service_name, &rows)
+            .unwrap_or_default();
+        let mut best: Option<(ServerId, f64)> = None;
+        for (&server, score) in hosts.iter().zip(scores) {
+            let penalty = if protected.binary_search(&server).is_ok() {
                 0.5
             } else {
                 1.0
             };
-            let Some(inputs) = ServerInputs::gather(landscape, loads, server) else {
-                continue;
-            };
-            let Ok(score) =
-                self.server_selector_mut()
-                    .score(ActionKind::Start, &service_name, &inputs)
-            else {
-                continue;
-            };
             let score = score * penalty;
-            if best.as_ref().is_none_or(|&(_, s)| score > s) {
+            if best.is_none_or(|(_, s)| score > s) {
                 best = Some((server, score));
             }
         }
@@ -213,7 +254,7 @@ mod tests {
     use super::*;
     use crate::inputs::TableLoads;
     use autoglobe_landscape::{ServerSpec, ServiceKind, ServiceSpec};
-    use autoglobe_monitor::Subject;
+    use autoglobe_monitor::{SimDuration, Subject};
 
     struct Fixture {
         landscape: Landscape,
@@ -362,7 +403,8 @@ mod tests {
         // `ServerSelector::score` return Err for every host. The old code
         // bailed out of the whole candidate loop with `.ok()?` and reported
         // the instance lost even though feasible hosts existed; now the
-        // broken candidate is skipped and the first feasible host wins.
+        // engine error leaves every host unscored and the first feasible
+        // host wins.
         let mut f = fixture();
         let mut bases = crate::rulebase::RuleBases::paper_defaults();
         bases.add_service_action_rules(
@@ -432,6 +474,81 @@ mod tests {
             .log()
             .iter()
             .any(|e| matches!(e, ControllerEvent::Recovered { .. })));
+    }
+
+    /// The scalar Start score of `server` under `loads`, for test
+    /// preconditions.
+    fn start_score(f: &Fixture, loads: &TableLoads, server: ServerId) -> f64 {
+        let inputs = ServerInputs::gather(&f.landscape, loads, server).unwrap();
+        crate::ServerSelector::new(
+            crate::rulebase::RuleBases::paper_defaults(),
+            Default::default(),
+        )
+        .score(ActionKind::Start, "app", &inputs)
+        .unwrap()
+    }
+
+    #[test]
+    fn a_nan_lane_drops_only_its_host_from_the_batch() {
+        // Blade1 (lowest id, the fallback) reads a NaN CPU load; idle Big
+        // outscores busy Blade2. The batch must drop Blade1's row alone:
+        // keeping it fails the whole engine cycle and hands the restart to
+        // the unscored fallback.
+        let mut f = fixture();
+        let now = SimTime::from_hours(1);
+        f.loads.set(Subject::Server(f.blade1), f64::NAN, 0.3);
+        f.loads.set(Subject::Server(f.blade2), 0.9, 0.8);
+        assert!(start_score(&f, &f.loads, f.big) > start_score(&f, &f.loads, f.blade2));
+        let mut c = AutoGlobeController::new();
+        assert_eq!(
+            c.best_restart_host(f.app, &f.landscape, &f.loads, now),
+            Some(f.big)
+        );
+
+        // With every feasible host poisoned nothing can be scored, and the
+        // first feasible host still takes the restart.
+        f.loads.set(Subject::Server(f.blade2), f64::NAN, 0.2);
+        f.loads.set(Subject::Server(f.big), 0.1, f64::NAN);
+        assert_eq!(
+            c.best_restart_host(f.app, &f.landscape, &f.loads, now),
+            Some(f.blade1)
+        );
+    }
+
+    #[test]
+    fn a_protected_host_competes_at_half_score() {
+        // Idle Big beats lightly loaded Blade2 on its raw score but not at
+        // half of it, so protecting Big hands the restart to Blade2.
+        let mut f = fixture();
+        let now = SimTime::from_hours(1);
+        f.landscape.set_available(f.blade1, false).unwrap();
+        f.loads.set(Subject::Server(f.blade2), 0.25, 0.2);
+        let (big, blade2) = (
+            start_score(&f, &f.loads, f.big),
+            start_score(&f, &f.loads, f.blade2),
+        );
+        assert!(
+            big > blade2 && 0.5 * big < blade2,
+            "big {big}, blade2 {blade2}"
+        );
+        let mut c = AutoGlobeController::new();
+        assert_eq!(
+            c.best_restart_host(f.app, &f.landscape, &f.loads, now),
+            Some(f.big)
+        );
+        c.protect(Subject::Server(f.big), now, SimDuration::from_minutes(30));
+        assert_eq!(
+            c.best_restart_host(f.app, &f.landscape, &f.loads, now),
+            Some(f.blade2)
+        );
+
+        // Protection never makes a host ineligible: as the only feasible
+        // host, protected Big still takes the restart.
+        f.landscape.set_available(f.blade2, false).unwrap();
+        assert_eq!(
+            c.best_restart_host(f.app, &f.landscape, &f.loads, now),
+            Some(f.big)
+        );
     }
 
     #[test]

@@ -2,16 +2,21 @@
 //! decisions are deterministic, executed actions never violate the
 //! declarative constraints, overload remedies do not fade out as the
 //! overload worsens (the regression that motivated `NOT cpuLoad IS low`) —
-//! and the production host ranking equals the exhaustive scalar oracle.
+//! and the production host ranking and restart search equal their
+//! exhaustive scalar oracles.
 
 use autoglobe_controller::inputs::{ActionInputs, TableLoads};
-use autoglobe_controller::{ActionSelector, AutoGlobeController, RuleBases};
+use autoglobe_controller::{
+    ActionSelector, AutoGlobeController, RuleBases, ServerInputs, ServerSelector,
+};
 use autoglobe_fuzzy::EngineConfig;
 use autoglobe_landscape::synth::{generate, SynthConfig};
 use autoglobe_landscape::{
-    check_action, ActionKind, Landscape, ServerId, ServerSpec, ServiceKind, ServiceSpec,
+    check_action, ActionKind, Landscape, ServerId, ServerSpec, ServiceId, ServiceKind, ServiceSpec,
 };
-use autoglobe_monitor::{SimTime, Subject, TriggerEvent, TriggerKind};
+use autoglobe_monitor::{
+    FailureEvent, FailureKind, SimDuration, SimTime, Subject, TriggerEvent, TriggerKind,
+};
 use autoglobe_rng::{check, Rng};
 
 fn random_inputs(rng: &mut Rng) -> ActionInputs {
@@ -397,6 +402,168 @@ fn batched_rankings_match_the_exhaustive_oracle_on_synth_landscapes() {
             stats.pattern_hits > 0 && stats.incremental_hits > 0,
             "the warm rankings must be served from both cache layers: {stats:?}"
         );
+    });
+}
+
+/// The restart search as the exhaustive scan: per server, the scanning
+/// placement check, a scanning input gather and one scalar Start score,
+/// halved on a protected host; the first strictly better score wins, else
+/// the first feasible server.
+fn restart_oracle(
+    controller: &AutoGlobeController,
+    selector: &mut ServerSelector,
+    service: ServiceId,
+    landscape: &Landscape,
+    loads: &TableLoads,
+    now: SimTime,
+) -> Option<ServerId> {
+    let name = landscape.service(service).ok()?.name.clone();
+    let mut best: Option<(ServerId, f64)> = None;
+    let mut fallback = None;
+    for server in landscape.server_ids() {
+        if !landscape.can_host(service, server) {
+            continue;
+        }
+        fallback = fallback.or(Some(server));
+        let penalty = if controller
+            .protection()
+            .is_protected(Subject::Server(server), now)
+        {
+            0.5
+        } else {
+            1.0
+        };
+        let Some(inputs) = ServerInputs::gather(landscape, loads, server) else {
+            continue;
+        };
+        let Ok(score) = selector.score(ActionKind::Start, &name, &inputs) else {
+            continue;
+        };
+        let score = score * penalty;
+        if best.is_none_or(|(_, s)| score > s) {
+            best = Some((server, score));
+        }
+    }
+    best.map(|(server, _)| server).or(fallback)
+}
+
+#[test]
+fn restart_search_matches_the_exhaustive_oracle_on_synth_landscapes() {
+    // The indexed, batched restart search must pick exactly the host the
+    // exhaustive scalar scan picks, for every service — with unavailable
+    // and protected servers in the pool, loads on a 0.05 grid so tiers tie
+    // (ties go to the lowest id), and in some cases one server's CPU lane
+    // NaN. Then a whole server failure must restart, and lose, exactly
+    // what a replay of the scan on a copy of the landscape does.
+    check::cases(4, |rng| {
+        let servers = rng.random_int(20..=140) as usize;
+        let mut landscape = generate(&SynthConfig::sized(servers, rng.next_u64())).landscape;
+        let ids: Vec<ServerId> = landscape.server_ids().collect();
+        let services: Vec<ServiceId> = landscape.service_ids().collect();
+        let now = SimTime::from_hours(9);
+        for _ in 0..3 {
+            landscape.set_available(*rng.choice(&ids), false).unwrap();
+        }
+        let poisoned = rng.random_bool(0.75).then(|| *rng.choice(&ids));
+        let mut loads = TableLoads::new();
+        for &server in &ids {
+            let mut grid = || rng.random_int(0..=20) as f64 / 20.0;
+            let cpu = if Some(server) == poisoned {
+                f64::NAN
+            } else {
+                grid()
+            };
+            loads.set(Subject::Server(server), cpu, grid());
+        }
+        // Protect one random server, and the hosts an unprotected search
+        // picks for two random services, so the half-score rule bites.
+        let mut controller = AutoGlobeController::new();
+        let mut protected = vec![*rng.choice(&ids)];
+        for _ in 0..2 {
+            let service = *rng.choice(&services);
+            protected.extend(controller.best_restart_host(service, &landscape, &loads, now));
+        }
+        for server in protected {
+            controller.protect(Subject::Server(server), now, SimDuration::from_minutes(30));
+        }
+        let mut selector =
+            ServerSelector::new(RuleBases::paper_defaults(), EngineConfig::default());
+        for &service in &services {
+            assert_eq!(
+                controller.best_restart_host(service, &landscape, &loads, now),
+                restart_oracle(&controller, &mut selector, service, &landscape, &loads, now),
+                "restart host for {service} ({servers} servers)"
+            );
+        }
+
+        // The failure runs on a view where the powerful tiers are busy and
+        // every memory load is medium (under `loads` they win count-blind
+        // at full score): a host's score then falls with its instance
+        // count, each restart moves the next one's best host, and a
+        // host-index memo left stale between two restarts of one failure
+        // picks differently.
+        let mut crowded = TableLoads::new();
+        for &server in &ids {
+            let powerful = landscape.server(server).unwrap().performance_index >= 7.0;
+            let cpu = if powerful {
+                1.0
+            } else {
+                rng.random_int(0..=7) as f64 / 20.0
+            };
+            crowded.set(Subject::Server(server), cpu, 0.5);
+        }
+        // Fail a random server running an instance no server can take,
+        // topped up to four instances as far as placement allows.
+        let failed = *rng.choice(&ids);
+        landscape.set_available(failed, true).unwrap();
+        let unplaceable = landscape
+            .add_service(
+                ServiceSpec::new("unplaceable", ServiceKind::Generic)
+                    .with_min_performance_index(100.0),
+            )
+            .unwrap();
+        landscape.start_instance(unplaceable, failed).unwrap();
+        while landscape.instance_count_on(failed) < 4 {
+            let fits: Vec<ServiceId> = services
+                .iter()
+                .copied()
+                .filter(|&s| landscape.can_host(s, failed))
+                .collect();
+            let Some(&service) = (!fits.is_empty()).then(|| rng.choice(&fits)) else {
+                break;
+            };
+            landscape.start_instance(service, failed).unwrap();
+        }
+        assert!(landscape.instance_count_on(failed) >= 2, "{failed}");
+        let mut replay = landscape.clone();
+        replay.set_available(failed, false).unwrap();
+        let (mut recovered, mut lost) = (Vec::new(), Vec::new());
+        for crashed in replay.instances_on(failed) {
+            let instance = replay.stop_instance(crashed).unwrap();
+            let service = instance.service;
+            let host = if replay.can_host(service, instance.server) {
+                Some(instance.server)
+            } else {
+                restart_oracle(&controller, &mut selector, service, &replay, &crowded, now)
+            };
+            match host {
+                Some(host) => {
+                    let new = replay.start_instance(service, host).unwrap();
+                    recovered.push((crashed, new, host));
+                }
+                None => lost.push((crashed, service)),
+            }
+        }
+        let failure = FailureEvent {
+            kind: FailureKind::ServerFailed(failed),
+            time: now,
+        };
+        let outcome = controller.handle_failure(&failure, &mut landscape, &crowded, now);
+        assert_eq!(
+            outcome.recovered, recovered,
+            "recovered after failing {failed}"
+        );
+        assert_eq!(outcome.lost, lost, "lost after failing {failed}");
     });
 }
 
