@@ -2,7 +2,7 @@
 //!
 //! [`RunBuilder`] is the only way to build the three harnesses
 //! ([`SupervisedRun`], [`ChaosRun`] and [`ShardedRun`]): pick a scenario
-//! (a paper [`Scenario`] or a production-day [`ScenarioSpec`] from the
+//! (a paper [`Scenario`](autoglobe_simulator::Scenario) or a production-day [`ScenarioSpec`] from the
 //! catalog), layer on chaos, proactive triggering or sharding, and finish
 //! with the terminal that names the harness you want:
 //!

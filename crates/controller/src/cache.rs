@@ -9,7 +9,7 @@
 //!   to one engine evaluation per distinct tier/load combination. Because
 //!   the score depends on nothing but the engine and the bit pattern, the
 //!   memo is *revision-independent*: it survives landscape mutations and
-//!   only empties on engine swaps ([`ScoreCache::clear`]) or capacity
+//!   only empties on engine swaps (`ScoreCache::clear`) or capacity
 //!   overflow. A hit returns the exact bits an engine evaluation of the
 //!   same pattern produced, so persistence cannot perturb outputs;
 //! - an **incremental verdict layer** keyed per server: the input bits and

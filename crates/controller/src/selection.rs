@@ -1,6 +1,5 @@
 //! The two fuzzy controllers: action selection and server selection.
 
-use crate::cache::FastMap;
 use crate::inputs::{ActionInputs, ServerInputs};
 use crate::rulebase::RuleBases;
 use crate::variables;
@@ -20,10 +19,10 @@ pub struct RankedAction {
 }
 
 /// The action-selection fuzzy controller: one engine per `(trigger,
-/// service-specific rule base)` combination, built at construction time so
-/// the per-trigger hot path ([`ActionSelector::rank`]) only evaluates rules
-/// — every engine's consequent term grids are precomputed when its rules are
-/// added.
+/// service-specific rule base)` combination, built at construction time.
+/// Each engine compiles its rule base on its first evaluation, so the
+/// per-trigger hot path ([`ActionSelector::rank`]) only evaluates the
+/// compiled program.
 #[derive(Debug)]
 pub struct ActionSelector {
     rule_bases: RuleBases,
@@ -36,20 +35,7 @@ pub struct ActionSelector {
     /// it come from [`RuleBases::service_trigger_keys`], which is
     /// `BTreeMap`-backed and therefore sorted.
     engines: HashMap<(TriggerKind, String), Engine>,
-    /// Interned `(trigger, resolved rule-base key)` pairs; index = memo slot.
-    memo_slots: Vec<(TriggerKind, String)>,
-    /// Memoized [`ActionSelector::rank`] results keyed by memo slot and the
-    /// exact bit pattern of the eight input lanes. A ranking is a pure
-    /// function of the engine and those bits, and the rule bases are fixed
-    /// at construction, so entries never go stale — a hit returns exactly
-    /// the list a fresh evaluation would produce. Bounded: overflowing
-    /// [`MAX_RANK_MEMO_ENTRIES`] clears the memo.
-    memo: FastMap<(u32, [u64; 8]), Vec<RankedAction>>,
 }
-
-/// Rank-memo capacity; overflow clears the memo (entries re-memoize on the
-/// next evaluation).
-const MAX_RANK_MEMO_ENTRIES: usize = 1 << 14;
 
 impl ActionSelector {
     /// Build a selector over the given rule bases. All engines — one per
@@ -60,8 +46,6 @@ impl ActionSelector {
             rule_bases,
             config,
             engines: HashMap::new(),
-            memo_slots: Vec::new(),
-            memo: FastMap::default(),
         };
         let mut keys: Vec<(TriggerKind, String)> = TriggerKind::ALL
             .iter()
@@ -132,47 +116,18 @@ impl ActionSelector {
     /// Evaluate the trigger's rule base for one service and return all nine
     /// actions ranked by applicability (descending; zero-applicability
     /// entries included — the caller applies the administrator threshold).
-    ///
-    /// Results are memoized on the exact input bit pattern: triggers fire
-    /// for every overloaded subject each interval, and a mostly-idle pool
-    /// asks the same few questions over and over. A memo hit skips the
-    /// fuzzy cycle entirely and is bit-identical to a fresh run.
     pub fn rank(
         &mut self,
         trigger: TriggerKind,
         service_name: &str,
         inputs: &ActionInputs,
     ) -> Result<Vec<RankedAction>, FuzzyError> {
-        let resolved = if self
-            .rule_bases
-            .has_service_trigger_rules(trigger, service_name)
-        {
-            service_name
-        } else {
-            ""
-        };
-        let slot = match self
-            .memo_slots
-            .iter()
-            .position(|(t, s)| *t == trigger && s == resolved)
-        {
-            Some(i) => i as u32,
-            None => {
-                self.memo_slots.push((trigger, resolved.to_string()));
-                (self.memo_slots.len() - 1) as u32
-            }
-        };
-        let mut bits = [0u64; 8];
-        for (i, (_, value)) in inputs.measurements().into_iter().enumerate() {
-            bits[i] = value.to_bits();
-        }
-        if let Some(hit) = self.memo.get(&(slot, bits)) {
-            return Ok(hit.clone());
-        }
-
         let engine = self.engine(trigger, service_name)?;
         let outputs = engine.run(inputs.measurements())?;
-        let mut ranked: Vec<RankedAction> = outputs
+        // `ranked` is a total order (no `partial_cmp().unwrap()` panic path):
+        // descending applicability, ties by variable name, which
+        // `from_variable_name` maps one-to-one onto action kinds.
+        Ok(outputs
             .ranked()
             .into_iter()
             .filter_map(|(name, value)| {
@@ -181,20 +136,7 @@ impl ActionSelector {
                     applicability: value,
                 })
             })
-            .collect();
-        // Total order (no `partial_cmp().unwrap()` panic path): the action
-        // name tiebreak is unique per kind, so the sort is deterministic
-        // even for equal or non-finite applicabilities.
-        ranked.sort_unstable_by(|a, b| {
-            b.applicability
-                .total_cmp(&a.applicability)
-                .then_with(|| a.kind.variable_name().cmp(b.kind.variable_name()))
-        });
-        if self.memo.len() >= MAX_RANK_MEMO_ENTRIES {
-            self.memo.clear();
-        }
-        self.memo.insert((slot, bits), ranked.clone());
-        Ok(ranked)
+            .collect())
     }
 }
 

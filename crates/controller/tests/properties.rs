@@ -169,11 +169,12 @@ fn service_overload_remedy_is_monotone_in_cpu_load() {
 #[test]
 fn rank_matches_the_per_call_sampling_reference() {
     // `ActionSelector::rank` no longer samples membership functions per
-    // invocation (term grids are precomputed at construction and ramp
-    // outputs defuzzify in closed form). Its results must still match the
-    // legacy pipeline — fuzzify, `infer` with per-call
-    // `FuzzySet::from_membership` sampling, leftmost-max defuzzification —
-    // to within one grid step, for any inputs and any trigger.
+    // invocation (term grids are sampled once, when an engine compiles its
+    // rule base, and ramp outputs defuzzify in closed form). Its results
+    // must still match the legacy pipeline — fuzzify, `infer` with
+    // per-call `FuzzySet::from_membership` sampling, leftmost-max
+    // defuzzification — to within one grid step, for any inputs and any
+    // trigger.
     use autoglobe_controller::variables;
     use autoglobe_fuzzy::{infer, Defuzzifier, InferenceConfig, LinguisticVariable};
     use std::collections::HashMap;

@@ -22,8 +22,9 @@
 //! * [`hints::HintBook`] — explicit administrator reservations ("mission
 //!   critical batch run at 22:00 needs 2 CPU units on the BW database"),
 //!   merged into forecasts.
-//! * [`ProactiveTrigger`] — turns forecasts into early [`TriggerEvent`]s a
-//!   controller can handle *before* the overload materializes.
+//! * [`ProactiveTrigger`] — turns forecasts into early
+//!   [`TriggerEvent`](autoglobe_monitor::TriggerEvent)s a controller can
+//!   handle *before* the overload materializes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! Proactive triggering: forecasts become early trigger events.
 //!
 //! "Using these techniques, adaptive infrastructures can react proactively
-//! on imminent overload situations" (the paper's reference [8]). The
+//! on imminent overload situations" (the paper's reference \[8\]). The
 //! [`ProactiveTrigger`] inspects forecasts (optionally lifted by explicit
 //! reservations) and emits a synthetic [`TriggerEvent`] *ahead* of the
 //! predicted threshold crossing, so the controller can rearrange while the

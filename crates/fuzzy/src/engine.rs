@@ -1,16 +1,40 @@
 //! The complete fuzzy-controller cycle of the paper's Figure 4:
 //! measurement → fuzzification → inference → defuzzification.
+//!
+//! An [`Engine`] compiles its variables, rules and configuration into one
+//! private program on the first evaluation after any of them changes: a
+//! grade slot per `(input, term)` pair that some rule reads, each antecedent
+//! as slot-indexed postfix code with its weight and consequent, and one
+//! sampled grid per consequent `(output, term)` pair. Every evaluation runs
+//! that program over columns — [`Engine::run`] is the one-row case of
+//! [`Engine::run_batch`], and [`Engine::run_detailed`] reads the same rule
+//! truths — in three steps: validate the measurement columns, compute one
+//! grade column per slot, then one weighted truth column per rule.
+//!
+//! Rule truths become crisp values by one of two routes:
+//!
+//! * **Closed form**, under the paper's configuration (max–min inference,
+//!   leftmost-max defuzzification) when every output that rules target has
+//!   one `RightShoulder` ramp `(a, b)` shared by all its rules. The leftmost
+//!   maximum of that ramp clipped at the strongest firing `h > 0` is exactly
+//!   `a + h·(b − a)`, so no fuzzy set is sampled and the values are exact
+//!   rather than grid-quantized.
+//! * **Sampled**, for every other configuration or consequent shape, and
+//!   always for `run_detailed`: each rule's grid is clipped (max–min) or
+//!   scaled (max–product) at its truth and unioned into its output's set,
+//!   which the configured [`Defuzzifier`] turns into a crisp value.
 
 use crate::defuzz::Defuzzifier;
-use crate::inference::{infer_with_grids, InferenceConfig, InferenceMethod, InferenceResult};
+use crate::inference::{InferenceMethod, InferenceResult};
 use crate::membership::MembershipFunction;
 use crate::parser::{parse_rule, parse_rules};
-use crate::rule::{Rule, RuleBase};
+use crate::rule::{Antecedent, Rule, RuleBase};
 use crate::set::{FuzzySet, DEFAULT_RESOLUTION};
 use crate::variable::LinguisticVariable;
-use crate::{FuzzyError, Truth};
+use crate::FuzzyError;
 use std::collections::HashMap;
 use std::ops::Index;
+use std::sync::{Arc, OnceLock};
 
 /// Tunable knobs of an [`Engine`].
 #[derive(Debug, Clone, Copy)]
@@ -33,7 +57,8 @@ impl Default for EngineConfig {
     }
 }
 
-/// Crisp outputs of one controller cycle, keyed by output variable name.
+/// Crisp outputs of one controller cycle, one per declared output variable,
+/// kept in name order.
 ///
 /// Indexing with an unknown name panics (tests read better); use
 /// [`Outputs::get`] for fallible access. [`Outputs::ranked`] returns the
@@ -41,30 +66,33 @@ impl Default for EngineConfig {
 /// applicability" list of Section 4.1.
 #[derive(Debug, Clone, Default)]
 pub struct Outputs {
-    values: HashMap<String, f64>,
+    /// Output variable names, sorted; shared with the engine's program.
+    names: Arc<[String]>,
+    /// `values[i]` is the crisp value of `names[i]`.
+    values: Vec<f64>,
 }
 
 impl Outputs {
     /// The crisp value of `name`, if that output variable exists.
     pub fn get(&self, name: &str) -> Option<f64> {
-        self.values.get(name).copied()
+        find_sorted(&self.names, name).map(|i| self.values[i])
     }
 
     /// All `(name, value)` pairs sorted by descending value; ties broken by
     /// name for determinism.
     pub fn ranked(&self) -> Vec<(&str, f64)> {
-        let mut v: Vec<(&str, f64)> = self
-            .values
-            .iter()
-            .map(|(k, &val)| (k.as_str(), val))
-            .collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        let mut v: Vec<(&str, f64)> = self.iter().collect();
+        // Stable, so equal values stay in name order.
+        v.sort_by(|a, b| b.1.total_cmp(&a.1));
         v
     }
 
-    /// Iterate over `(name, value)` pairs in arbitrary order.
+    /// Iterate over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.values.iter().map(|(k, &v)| (k.as_str(), v))
+        self.names
+            .iter()
+            .map(String::as_str)
+            .zip(self.values.iter().copied())
     }
 
     /// Number of output variables.
@@ -81,20 +109,21 @@ impl Outputs {
 impl Index<&str> for Outputs {
     type Output = f64;
     fn index(&self, name: &str) -> &f64 {
-        self.values
-            .get(name)
-            .unwrap_or_else(|| panic!("no output variable `{name}`"))
+        let i =
+            find_sorted(&self.names, name).unwrap_or_else(|| panic!("no output variable `{name}`"));
+        &self.values[i]
     }
 }
 
 /// Crisp outputs of one batched controller cycle ([`Engine::run_batch`]):
 /// one value per declared output variable per input row, stored column-major
-/// and row-aligned with the input columns.
+/// with the columns in name order and the rows aligned with the input
+/// columns.
 #[derive(Debug, Clone)]
 pub struct BatchOutputs {
     rows: usize,
     /// Output variable names, sorted, one per column of `values`.
-    names: Vec<String>,
+    names: Arc<[String]>,
     /// `values[col * rows + row]` is output `names[col]` for input row `row`.
     values: Vec<f64>,
 }
@@ -108,7 +137,7 @@ impl BatchOutputs {
     /// The crisp values of output variable `name` across all rows, or `None`
     /// if no such output variable is declared.
     pub fn column(&self, name: &str) -> Option<&[f64]> {
-        let col = self.names.binary_search_by(|n| n.as_str().cmp(name)).ok()?;
+        let col = find_sorted(&self.names, name)?;
         Some(&self.values[col * self.rows..(col + 1) * self.rows])
     }
 
@@ -118,32 +147,93 @@ impl BatchOutputs {
     /// Panics if `row >= self.rows()`.
     pub fn row(&self, row: usize) -> Outputs {
         assert!(row < self.rows, "row {row} out of {} batch rows", self.rows);
-        let mut values = HashMap::with_capacity(self.names.len());
-        for (col, name) in self.names.iter().enumerate() {
-            values.insert(name.clone(), self.values[col * self.rows + row]);
+        Outputs {
+            names: Arc::clone(&self.names),
+            values: (0..self.names.len())
+                .map(|col| self.values[col * self.rows + row])
+                .collect(),
         }
-        Outputs { values }
     }
+}
+
+/// Index of `name` in the sorted `names`.
+fn find_sorted(names: &[String], name: &str) -> Option<usize> {
+    names.binary_search_by(|n| n.as_str().cmp(name)).ok()
 }
 
 /// A complete fuzzy controller: input/output variables, a rule base, and the
 /// inference/defuzzification configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
-    inputs: HashMap<String, LinguisticVariable>,
-    outputs: HashMap<String, LinguisticVariable>,
+    /// Input variables, in declaration order.
+    inputs: Vec<LinguisticVariable>,
+    /// Output variables, in declaration order.
+    outputs: Vec<LinguisticVariable>,
     rules: RuleBase,
     config: EngineConfig,
-    /// Consequent term sets sampled once per `(output variable, term)` pair
-    /// at rule-add time, so inference never re-evaluates membership
-    /// functions over the whole universe per call.
-    term_grids: HashMap<(String, String), FuzzySet>,
-    /// Per output variable targeted by at least one rule: `Some((a, b))`
-    /// when every rule's consequent term is the same `RightShoulder { a, b }`
-    /// ramp. Under max–min inference with leftmost-max defuzzification such
-    /// outputs admit a closed form (see [`Engine::run`]) that skips fuzzy
-    /// sets entirely — the common case for the paper's `applicable` outputs.
-    ramps: HashMap<String, Option<(f64, f64)>>,
+    /// The fields above compiled for evaluation; emptied by every change to
+    /// them and rebuilt by the next evaluation.
+    program: OnceLock<Program>,
+}
+
+/// An engine's rule base compiled against its variables and configuration.
+#[derive(Debug, Clone)]
+struct Program {
+    /// Indices of the inputs that rules read, in name order.
+    read_inputs: Vec<usize>,
+    /// One `(input, term)` index pair per grade slot.
+    slots: Vec<(usize, usize)>,
+    /// The rules, in rule-base order.
+    rules: Vec<CompiledRule>,
+    /// Declared output names, sorted; shared with every result.
+    names: Arc<[String]>,
+    /// The outputs, in `names` order.
+    outputs: Vec<CompiledOutput>,
+    /// One sampled consequent set per `(output, term)` pair a rule targets.
+    grids: Vec<FuzzySet>,
+    /// Deepest operand stack any antecedent needs.
+    depth: usize,
+    /// The paper's configuration, and no output needs the sampled route.
+    closed_form: bool,
+}
+
+#[derive(Debug, Clone)]
+struct CompiledRule {
+    /// The antecedent in postfix order.
+    ops: Vec<Op>,
+    weight: f64,
+    /// Index into [`Program::outputs`].
+    output: usize,
+    /// Index into [`Program::grids`].
+    grid: usize,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Op {
+    /// Push a grade slot's column.
+    Grade(usize),
+    /// `min`, `max` and `1 − x` of the operands on top of the stack.
+    And,
+    Or,
+    Not,
+}
+
+#[derive(Debug, Clone)]
+struct CompiledOutput {
+    lo: f64,
+    hi: f64,
+    shape: Shape,
+}
+
+/// What an output's rules put in their consequents.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// No rule targets the output.
+    Untargeted,
+    /// Every rule targets the same `RightShoulder { a, b }` ramp.
+    Ramp(f64, f64),
+    /// Anything else: only the sampled route is exact.
+    Sampled,
 }
 
 impl Engine {
@@ -166,25 +256,18 @@ impl Engine {
     }
 
     /// Replace the configuration (useful for ablation sweeps on an otherwise
-    /// identical controller). Precomputed term grids are re-sampled at the
-    /// new resolution.
+    /// identical controller). The next evaluation recompiles the rule base,
+    /// re-sampling its consequent grids at the new resolution.
     pub fn set_config(&mut self, config: EngineConfig) {
         self.config = config;
-        for ((var_name, term_name), grid) in self.term_grids.iter_mut() {
-            let var = &self.outputs[var_name];
-            let term = var.term(term_name).expect("indexed term exists");
-            let (lo, hi) = var.range();
-            *grid = FuzzySet::from_membership(term.membership(), lo, hi, config.resolution);
-        }
+        self.program.take();
     }
 
     /// Declare an input variable. Returns an error if the name is taken.
     pub fn try_add_input(&mut self, var: LinguisticVariable) -> Result<(), FuzzyError> {
-        let name = var.name().to_string();
-        if self.inputs.contains_key(&name) || self.outputs.contains_key(&name) {
-            return Err(FuzzyError::DuplicateVariable { name });
-        }
-        self.inputs.insert(name, var);
+        self.check_unused(var.name())?;
+        self.inputs.push(var);
+        self.program.take();
         Ok(())
     }
 
@@ -199,11 +282,9 @@ impl Engine {
 
     /// Declare an output variable. Returns an error if the name is taken.
     pub fn try_add_output(&mut self, var: LinguisticVariable) -> Result<(), FuzzyError> {
-        let name = var.name().to_string();
-        if self.inputs.contains_key(&name) || self.outputs.contains_key(&name) {
-            return Err(FuzzyError::DuplicateVariable { name });
-        }
-        self.outputs.insert(name, var);
+        self.check_unused(var.name())?;
+        self.outputs.push(var);
+        self.program.take();
         Ok(())
     }
 
@@ -216,53 +297,38 @@ impl Engine {
         self.try_add_output(var).expect("duplicate variable");
     }
 
-    /// The declared input variables.
-    pub fn inputs(&self) -> impl Iterator<Item = &LinguisticVariable> {
-        self.inputs.values()
+    fn check_unused(&self, name: &str) -> Result<(), FuzzyError> {
+        match self.variable(name) {
+            Some(_) => Err(FuzzyError::DuplicateVariable { name: name.into() }),
+            None => Ok(()),
+        }
     }
 
-    /// The declared output variables.
+    /// The declared input variables, in declaration order.
+    pub fn inputs(&self) -> impl Iterator<Item = &LinguisticVariable> {
+        self.inputs.iter()
+    }
+
+    /// The declared output variables, in declaration order.
     pub fn outputs(&self) -> impl Iterator<Item = &LinguisticVariable> {
-        self.outputs.values()
+        self.outputs.iter()
     }
 
     /// Look up a variable (input or output) by name.
     pub fn variable(&self, name: &str) -> Option<&LinguisticVariable> {
-        self.inputs.get(name).or_else(|| self.outputs.get(name))
+        self.inputs
+            .iter()
+            .chain(&self.outputs)
+            .find(|v| v.name() == name)
     }
 
     /// Add a rule, validating that every referenced variable and term exists
     /// and that input/output roles are respected.
     pub fn add_rule(&mut self, rule: Rule) -> Result<(), FuzzyError> {
         self.validate_rule(&rule)?;
-        self.index_consequent(&rule);
         self.rules.push(rule);
+        self.program.take();
         Ok(())
-    }
-
-    /// Maintain the per-term grid cache and the analytic-ramp index for a
-    /// freshly validated rule's consequent.
-    fn index_consequent(&mut self, rule: &Rule) {
-        let var_name = &rule.consequent.variable;
-        let term_name = &rule.consequent.term;
-        let var = &self.outputs[var_name];
-        let term = var.term(term_name).expect("validated term exists");
-        let key = (var_name.clone(), term_name.clone());
-        if !self.term_grids.contains_key(&key) {
-            let (lo, hi) = var.range();
-            self.term_grids.insert(
-                key,
-                FuzzySet::from_membership(term.membership(), lo, hi, self.config.resolution),
-            );
-        }
-        let shape = match *term.membership() {
-            MembershipFunction::RightShoulder { a, b } => Some((a, b)),
-            _ => None,
-        };
-        let entry = self.ramps.entry(var_name.clone()).or_insert(shape);
-        if *entry != shape {
-            *entry = None;
-        }
     }
 
     /// Parse and add a single rule from DSL text.
@@ -285,32 +351,31 @@ impl Engine {
 
     fn validate_rule(&self, rule: &Rule) -> Result<(), FuzzyError> {
         for var_name in rule.antecedent.referenced_variables() {
-            if self.outputs.contains_key(var_name) {
+            if position(&self.outputs, var_name).is_some() {
                 return Err(FuzzyError::VariableRoleMismatch {
                     name: var_name.to_string(),
                     reason: "output variable used in a rule antecedent".into(),
                 });
             }
-            let var = self
-                .inputs
-                .get(var_name)
+            let var = position(&self.inputs, var_name)
+                .map(|i| &self.inputs[i])
                 .ok_or_else(|| FuzzyError::UnknownVariable {
                     name: var_name.to_string(),
                 })?;
             // Check every atom mentioning this variable names a real term.
             validate_terms(&rule.antecedent, var_name, var)?;
         }
-        if self.inputs.contains_key(&rule.consequent.variable) {
+        if position(&self.inputs, &rule.consequent.variable).is_some() {
             return Err(FuzzyError::VariableRoleMismatch {
                 name: rule.consequent.variable.clone(),
                 reason: "input variable used in a rule consequent".into(),
             });
         }
-        let out = self.outputs.get(&rule.consequent.variable).ok_or_else(|| {
-            FuzzyError::UnknownVariable {
+        let out = position(&self.outputs, &rule.consequent.variable)
+            .map(|i| &self.outputs[i])
+            .ok_or_else(|| FuzzyError::UnknownVariable {
                 name: rule.consequent.variable.clone(),
-            }
-        })?;
+            })?;
         if out.term(&rule.consequent.term).is_none() {
             return Err(FuzzyError::UnknownTerm {
                 variable: rule.consequent.variable.clone(),
@@ -320,122 +385,60 @@ impl Engine {
         Ok(())
     }
 
-    /// Run one full controller cycle.
+    /// Run one full controller cycle: the one-row case of
+    /// [`Engine::run_batch`].
     ///
     /// `measurements` supplies a crisp value per input variable; every input
-    /// referenced by at least one rule must be measured. The result holds one
-    /// crisp value per *declared* output variable (variables no rule fired
-    /// for defuzzify to the left edge of their universe, i.e. 0 for
+    /// referenced by at least one rule must be measured, and a repeated
+    /// measurement keeps its last value. The result holds one crisp value
+    /// per *declared* output variable (variables no rule fired for
+    /// defuzzify to the left edge of their universe, i.e. 0 for
     /// applicability outputs).
-    ///
-    /// When every output is a single-ramp `RightShoulder` consequent and the
-    /// configuration is the paper's (max–min inference, leftmost-max
-    /// defuzzification), the crisp values are computed in closed form — the
-    /// leftmost maximum of a ramp `(a, b)` clipped at height `H > 0` is
-    /// exactly `a + H·(b − a)` — so no fuzzy set is sampled, clipped or
-    /// scanned at all, and the results are exact rather than grid-quantized.
     pub fn run<'a, M>(&self, measurements: M) -> Result<Outputs, FuzzyError>
     where
         M: IntoIterator<Item = (&'a str, f64)>,
     {
-        let grades = self.fuzzify(measurements)?;
-        if self.analytic_eligible() {
-            return self.run_analytic(&grades);
-        }
-        Ok(self.run_detailed_from_grades(&grades)?.outputs)
+        let measured: Vec<(&str, f64)> = measurements.into_iter().collect();
+        let BatchOutputs { names, values, .. } = self.evaluate(&one_row(&measured), 1)?;
+        Ok(Outputs { names, values })
     }
 
-    /// Like [`Engine::run`], but also returns the aggregated fuzzy sets and
-    /// rule truths — used by the AutoGlobe controller console to explain
-    /// decisions to the administrator. Always takes the sampled-grid path,
+    /// Like [`Engine::run`], but also returns every targeted output's
+    /// aggregated fuzzy set and rule truths. Always takes the sampled route,
     /// since the aggregated sets themselves are the point.
     pub fn run_detailed<'a, M>(&self, measurements: M) -> Result<DetailedOutputs, FuzzyError>
     where
         M: IntoIterator<Item = (&'a str, f64)>,
     {
-        let grades = self.fuzzify(measurements)?;
-        self.run_detailed_from_grades(&grades)
-    }
-
-    /// Fuzzification of every supplied measurement, plus the completeness
-    /// check that every rule-referenced input was measured.
-    fn fuzzify<'a, M>(
-        &self,
-        measurements: M,
-    ) -> Result<HashMap<(String, String), Truth>, FuzzyError>
-    where
-        M: IntoIterator<Item = (&'a str, f64)>,
-    {
-        let mut grades: HashMap<(String, String), Truth> = HashMap::new();
-        let mut measured: HashMap<&str, f64> = HashMap::new();
-        for (name, value) in measurements {
-            let var = self
-                .inputs
-                .get(name)
-                .ok_or_else(|| FuzzyError::UnknownVariable { name: name.into() })?;
-            if !value.is_finite() {
-                return Err(FuzzyError::NonFiniteMeasurement {
-                    name: name.into(),
-                    value,
-                });
-            }
-            measured.insert(name, value);
-            for (term, grade) in var.fuzzify_named(value) {
-                grades.insert((name.to_string(), term.to_string()), grade);
+        let measured: Vec<(&str, f64)> = measurements.into_iter().collect();
+        let program = self.program();
+        let truths = self.rule_truths(program, &one_row(&measured), 1)?;
+        let sets = self.union_sets(program, &truths, 1, 0);
+        let mut values = Vec::with_capacity(sets.len());
+        let mut inference = HashMap::new();
+        for (o, (out, set)) in program.outputs.iter().zip(sets).enumerate() {
+            values.push(self.defuzzify(out, set.as_ref()));
+            if let Some(set) = set {
+                let rule_truths = program
+                    .rules
+                    .iter()
+                    .zip(&truths)
+                    .filter(|(rule, _)| rule.output == o)
+                    .map(|(_, &truth)| truth)
+                    .collect();
+                inference.insert(
+                    program.names[o].clone(),
+                    InferenceResult { set, rule_truths },
+                );
             }
         }
-        for var_name in self.rules.input_variables() {
-            if !measured.contains_key(var_name) {
-                return Err(FuzzyError::MissingMeasurement {
-                    name: var_name.to_string(),
-                });
-            }
-        }
-        Ok(grades)
-    }
-
-    /// True when [`Engine::run`] may use the closed-form ramp path: the
-    /// paper's inference/defuzzification pair, and every rule-targeted output
-    /// admits the single-ramp analysis.
-    fn analytic_eligible(&self) -> bool {
-        self.config.inference == InferenceMethod::MaxMin
-            && self.config.defuzzifier == Defuzzifier::LeftmostMax
-            && self.ramps.values().all(Option::is_some)
-    }
-
-    /// Closed-form cycle: per output, the aggregated clipped-ramp union's
-    /// leftmost maximum is determined by the strongest weighted firing alone.
-    fn run_analytic(
-        &self,
-        grades: &HashMap<(String, String), Truth>,
-    ) -> Result<Outputs, FuzzyError> {
-        let mut heights: HashMap<&str, Truth> = HashMap::with_capacity(self.ramps.len());
-        for rule in self.rules.rules() {
-            let truth = rule.antecedent.eval(&mut |variable: &str, term: &str| {
-                grades
-                    .get(&(variable.to_string(), term.to_string()))
-                    .copied()
-                    .ok_or_else(|| FuzzyError::UnknownVariable {
-                        name: format!("{variable} IS {term}"),
-                    })
-            })? * rule.weight;
-            let entry = heights
-                .entry(rule.consequent.variable.as_str())
-                .or_insert(0.0);
-            if truth > *entry {
-                *entry = truth;
-            }
-        }
-        let mut values = HashMap::with_capacity(self.outputs.len());
-        for (name, var) in &self.outputs {
-            let (lo, hi) = var.range();
-            let crisp = match (heights.get(name.as_str()), self.ramps.get(name)) {
-                (Some(&h), Some(&Some((a, b)))) if h > 0.0 => (a + h * (b - a)).clamp(lo, hi),
-                _ => lo,
-            };
-            values.insert(name.clone(), crisp);
-        }
-        Ok(Outputs { values })
+        Ok(DetailedOutputs {
+            outputs: Outputs {
+                names: Arc::clone(&program.names),
+                values,
+            },
+            inference,
+        })
     }
 
     /// Run one controller cycle over a whole batch of measurement rows.
@@ -443,21 +446,77 @@ impl Engine {
     /// `columns` supplies one `(input variable, values)` column per measured
     /// variable; all columns must have the same length (the row count). Row
     /// `i` of every column together forms one measurement set, exactly as if
-    /// passed to [`Engine::run`] — and the results are **bit-identical** to
-    /// `rows` scalar `run` calls (a property the test suite enforces).
+    /// passed to [`Engine::run`], which evaluates the same compiled program
+    /// on one row — so the results are **bit-identical** to `rows` scalar
+    /// `run` calls. Output columns are in name order.
     ///
-    /// On the analytic path (the paper's max–min / leftmost-max configuration
-    /// with single-ramp consequents, see [`Engine::run`]) evaluation is
-    /// column-wise: each membership function is applied in one pass over the
-    /// whole column (a tight, autovectorizable loop), rule antecedents are
-    /// evaluated element-wise over grade columns, and no per-row `HashMap` is
-    /// built at all. Other configurations transparently fall back to per-row
-    /// scalar runs.
+    /// Validation reports, in this order: a column naming no input variable,
+    /// the first non-finite value in any column (read by a rule or not), and
+    /// the first rule-read input, by name, without a column.
     ///
     /// # Panics
     /// Panics if the columns disagree on length.
     pub fn run_batch(&self, columns: &[(&str, &[f64])]) -> Result<BatchOutputs, FuzzyError> {
-        let rows = columns.first().map(|(_, v)| v.len()).unwrap_or(0);
+        let rows = columns.first().map_or(0, |(_, values)| values.len());
+        self.evaluate(columns, rows)
+    }
+
+    fn program(&self) -> &Program {
+        self.program.get_or_init(|| self.compile())
+    }
+
+    /// The crisp outputs of `rows` rows, by the closed form or the sampled
+    /// route (see the module docs).
+    fn evaluate(
+        &self,
+        columns: &[(&str, &[f64])],
+        rows: usize,
+    ) -> Result<BatchOutputs, FuzzyError> {
+        let program = self.program();
+        let truths = self.rule_truths(program, columns, rows)?;
+        let mut values = vec![0.0; program.outputs.len() * rows];
+        if program.closed_form {
+            // Heights: each output's strongest firing, folded in rule order.
+            for (r, rule) in program.rules.iter().enumerate() {
+                let heights = &mut values[rule.output * rows..][..rows];
+                for (h, &t) in heights.iter_mut().zip(&truths[r * rows..][..rows]) {
+                    if t > *h {
+                        *h = t;
+                    }
+                }
+            }
+            for (o, out) in program.outputs.iter().enumerate() {
+                for v in &mut values[o * rows..][..rows] {
+                    *v = match out.shape {
+                        Shape::Ramp(a, b) if *v > 0.0 => (a + *v * (b - a)).clamp(out.lo, out.hi),
+                        _ => out.lo,
+                    };
+                }
+            }
+        } else {
+            for row in 0..rows {
+                let sets = self.union_sets(program, &truths, rows, row);
+                for (o, (out, set)) in program.outputs.iter().zip(&sets).enumerate() {
+                    values[o * rows + row] = self.defuzzify(out, set.as_ref());
+                }
+            }
+        }
+        Ok(BatchOutputs {
+            rows,
+            names: Arc::clone(&program.names),
+            values,
+        })
+    }
+
+    /// The evaluator every `run*` shares: validate `columns`, grade them,
+    /// and return one weighted truth column per rule
+    /// (`truths[r * rows + row]`).
+    fn rule_truths(
+        &self,
+        program: &Program,
+        columns: &[(&str, &[f64])],
+        rows: usize,
+    ) -> Result<Vec<f64>, FuzzyError> {
         for (name, values) in columns {
             assert_eq!(
                 values.len(),
@@ -466,194 +525,248 @@ impl Engine {
                 values.len()
             );
         }
-
-        // Same validation as the scalar path: known variables, finite values,
-        // and a measurement for every rule-referenced input.
-        for (name, values) in columns {
-            if !self.inputs.contains_key(*name) {
-                return Err(FuzzyError::UnknownVariable {
+        let mut column_of = vec![None; self.inputs.len()];
+        for (c, (name, _)) in columns.iter().enumerate() {
+            let input =
+                position(&self.inputs, name).ok_or_else(|| FuzzyError::UnknownVariable {
                     name: (*name).into(),
-                });
-            }
-            for &value in values.iter() {
-                if !value.is_finite() {
-                    return Err(FuzzyError::NonFiniteMeasurement {
-                        name: (*name).into(),
-                        value,
-                    });
-                }
-            }
+                })?;
+            column_of[input] = Some(c);
         }
-        for var_name in self.rules.input_variables() {
-            if !columns.iter().any(|(name, _)| *name == var_name) {
-                return Err(FuzzyError::MissingMeasurement {
-                    name: var_name.to_string(),
-                });
-            }
-        }
-
-        let mut names: Vec<String> = self.outputs.keys().cloned().collect();
-        names.sort_unstable();
-
-        if rows == 0 {
-            return Ok(BatchOutputs {
-                rows: 0,
-                names,
-                values: Vec::new(),
-            });
-        }
-
-        if !self.analytic_eligible() {
-            // Fallback: row-at-a-time scalar cycles — trivially bit-identical.
-            let mut values = vec![0.0; names.len() * rows];
-            let mut row_buf: Vec<(&str, f64)> = Vec::with_capacity(columns.len());
-            for row in 0..rows {
-                row_buf.clear();
-                row_buf.extend(columns.iter().map(|(name, col)| (*name, col[row])));
-                let out = self.run(row_buf.iter().copied())?;
-                for (col, name) in names.iter().enumerate() {
-                    values[col * rows + row] = out.get(name).expect("declared output");
-                }
-            }
-            return Ok(BatchOutputs {
-                rows,
-                names,
-                values,
-            });
-        }
-
-        self.infer_batch(columns, rows, names)
-    }
-
-    /// The column-wise analytic core of [`Engine::run_batch`]: membership
-    /// grids evaluated one pass per `(variable, term)` over the whole input
-    /// slice, compiled slot-indexed antecedents evaluated element-wise, and
-    /// the closed-form ramp defuzzification applied per output column.
-    ///
-    /// Every arithmetic step mirrors [`Engine::run_analytic`] operation for
-    /// operation (clamp → membership eval, `min`/`max`/`1 − x` antecedent
-    /// combinators in the same association order, weight multiply, strict `>`
-    /// height accumulation from 0.0, `(a + h·(b − a)).clamp(lo, hi)`), which
-    /// is what makes the batch bit-identical to scalar runs.
-    fn infer_batch(
-        &self,
-        columns: &[(&str, &[f64])],
-        rows: usize,
-        names: Vec<String>,
-    ) -> Result<BatchOutputs, FuzzyError> {
-        // 1. Fuzzification, column-wise: a grade column per (variable, term).
-        let mut slot_of: HashMap<(&str, &str), usize> = HashMap::new();
-        let mut grades: Vec<Vec<f64>> = Vec::new();
-        let mut clamped = vec![0.0f64; rows];
         for (name, values) in columns {
-            let var = &self.inputs[*name];
-            let (lo, hi) = var.range();
-            for (dst, &x) in clamped.iter_mut().zip(values.iter()) {
-                *dst = x.clamp(lo, hi);
-            }
-            for term in var.terms() {
-                let slot = *slot_of.entry((*name, term.name())).or_insert_with(|| {
-                    grades.push(Vec::new());
-                    grades.len() - 1
+            if let Some(&value) = values.iter().find(|v| !v.is_finite()) {
+                return Err(FuzzyError::NonFiniteMeasurement {
+                    name: (*name).into(),
+                    value,
                 });
-                let col = &mut grades[slot];
-                col.clear();
-                col.reserve(rows);
-                // One membership function over one contiguous column: the
-                // autovectorizable inner loop of the batch path.
-                col.extend(clamped.iter().map(|&x| term.grade(x)));
             }
         }
-
-        // 2. Compile rule antecedents to grade-slot indices (no string
-        //    lookups in the per-row evaluation below).
-        let mut height_slot_of: HashMap<&str, usize> = HashMap::new();
-        let mut heights: Vec<Vec<f64>> = Vec::new();
-        let mut compiled: Vec<(BatchNode, f64, usize)> = Vec::with_capacity(self.rules.len());
-        for rule in self.rules.rules() {
-            let node = compile_antecedent(&rule.antecedent, &slot_of)?;
-            let slot = *height_slot_of
-                .entry(rule.consequent.variable.as_str())
-                .or_insert_with(|| {
-                    heights.push(vec![0.0; rows]);
-                    heights.len() - 1
-                });
-            compiled.push((node, rule.weight, slot));
+        if let Some(&input) = program
+            .read_inputs
+            .iter()
+            .find(|&&i| column_of[i].is_none())
+        {
+            return Err(FuzzyError::MissingMeasurement {
+                name: self.inputs[input].name().into(),
+            });
         }
 
-        // 3. Inference, element-wise: rule truth columns folded into per-output
-        //    height columns with the same strict-`>` max as the scalar path.
-        let mut truth = vec![0.0f64; rows];
-        for (node, weight, slot) in &compiled {
-            node.eval_into(&grades, &mut truth);
-            let height = &mut heights[*slot];
-            for (h, &t) in height.iter_mut().zip(truth.iter()) {
-                let t = t * weight;
-                if t > *h {
-                    *h = t;
-                }
-            }
-        }
-
-        // 4. Closed-form defuzzification per output column.
-        let mut values = vec![0.0; names.len() * rows];
-        for (col, name) in names.iter().enumerate() {
-            let var = &self.outputs[name];
+        // Grades: each value clamped into its universe, then graded.
+        let mut grades = vec![0.0; program.slots.len() * rows];
+        for (s, &(input, term)) in program.slots.iter().enumerate() {
+            let var = &self.inputs[input];
             let (lo, hi) = var.range();
-            let out = &mut values[col * rows..(col + 1) * rows];
-            match (
-                height_slot_of.get(name.as_str()).map(|&s| &heights[s]),
-                self.ramps.get(name),
-            ) {
-                (Some(height), Some(&Some((a, b)))) => {
-                    for (dst, &h) in out.iter_mut().zip(height.iter()) {
-                        *dst = if h > 0.0 {
-                            (a + h * (b - a)).clamp(lo, hi)
+            let term = &var.terms()[term];
+            let column = columns[column_of[input].expect("rule inputs are measured")].1;
+            for (g, &x) in grades[s * rows..][..rows].iter_mut().zip(column) {
+                *g = term.grade(x.clamp(lo, hi));
+            }
+        }
+
+        // Truths: each antecedent over a stack of columns, left operand
+        // first as in `Antecedent::eval`, then times the rule's weight.
+        let mut truths = vec![0.0; program.rules.len() * rows];
+        let mut stack = vec![0.0; program.depth * rows];
+        for (r, rule) in program.rules.iter().enumerate() {
+            let mut top = 0;
+            for &op in &rule.ops {
+                match op {
+                    Op::Grade(s) => {
+                        stack[top * rows..][..rows].copy_from_slice(&grades[s * rows..][..rows]);
+                        top += 1;
+                    }
+                    Op::Not => {
+                        for v in &mut stack[(top - 1) * rows..][..rows] {
+                            *v = 1.0 - *v;
+                        }
+                    }
+                    Op::And | Op::Or => {
+                        top -= 1;
+                        let (left, right) = stack.split_at_mut(top * rows);
+                        let pairs = left[(top - 1) * rows..].iter_mut().zip(&right[..rows]);
+                        if op == Op::And {
+                            pairs.for_each(|(l, &r)| *l = l.min(r));
                         } else {
-                            lo
-                        };
+                            pairs.for_each(|(l, &r)| *l = l.max(r));
+                        }
                     }
                 }
-                _ => out.fill(lo),
+            }
+            for (t, &v) in truths[r * rows..][..rows].iter_mut().zip(&stack[..rows]) {
+                *t = v * rule.weight;
             }
         }
-        Ok(BatchOutputs {
-            rows,
-            names,
-            values,
-        })
+        Ok(truths)
     }
 
-    fn run_detailed_from_grades(
+    /// The sampled route for one row: each targeted output's union of its
+    /// rules' grids, clipped (max–min) or scaled (max–product) at their
+    /// truths. An output's set exists from the first rule that targets it,
+    /// even at truth 0; an untargeted output has none.
+    fn union_sets(
         &self,
-        grades: &HashMap<(String, String), Truth>,
-    ) -> Result<DetailedOutputs, FuzzyError> {
-        // 2. + 3. Inference over the precomputed consequent grids.
-        let cfg = InferenceConfig {
-            method: self.config.inference,
-            resolution: self.config.resolution,
-        };
-        let mut results =
-            infer_with_grids(&self.rules, grades, &self.outputs, &self.term_grids, cfg)?;
-
-        // 4. Defuzzification — every declared output gets a crisp value.
-        let mut values = HashMap::with_capacity(self.outputs.len());
-        for (name, var) in &self.outputs {
-            let crisp = match results.get(name) {
-                Some(r) => self.config.defuzzifier.defuzzify(&r.set),
-                None => var.range().0,
-            };
-            values.insert(name.clone(), crisp);
+        program: &Program,
+        truths: &[f64],
+        rows: usize,
+        row: usize,
+    ) -> Vec<Option<FuzzySet>> {
+        let mut sets = vec![None; program.outputs.len()];
+        for (r, rule) in program.rules.iter().enumerate() {
+            let out = &program.outputs[rule.output];
+            let set = sets[rule.output]
+                .get_or_insert_with(|| FuzzySet::empty(out.lo, out.hi, self.config.resolution));
+            let truth = truths[r * rows + row];
+            if truth > 0.0 {
+                let grid = &program.grids[rule.grid];
+                match self.config.inference {
+                    InferenceMethod::MaxMin => set.union_clipped(grid, truth),
+                    InferenceMethod::MaxProduct => set.union_scaled(grid, truth),
+                }
+            }
         }
-        Ok(DetailedOutputs {
-            outputs: Outputs { values },
-            inference: std::mem::take(&mut results),
-        })
+        sets
+    }
+
+    /// An output's crisp value on the sampled route: its set defuzzified, or
+    /// the left edge of its universe when no rule targets it.
+    fn defuzzify(&self, out: &CompiledOutput, set: Option<&FuzzySet>) -> f64 {
+        set.map_or(out.lo, |set| self.config.defuzzifier.defuzzify(set))
+    }
+
+    fn compile(&self) -> Program {
+        let mut declared: Vec<&LinguisticVariable> = self.outputs.iter().collect();
+        declared.sort_by(|x, y| x.name().cmp(y.name()));
+        let mut outputs: Vec<CompiledOutput> = declared
+            .iter()
+            .map(|var| {
+                let (lo, hi) = var.range();
+                CompiledOutput {
+                    lo,
+                    hi,
+                    shape: Shape::Untargeted,
+                }
+            })
+            .collect();
+        let mut slots = Vec::new();
+        // One `(output, term)` pair per grid.
+        let mut consequents = Vec::new();
+        let mut depth = 0;
+        let mut rules = Vec::with_capacity(self.rules.len());
+        for rule in self.rules.rules() {
+            let mut ops = Vec::new();
+            depth = depth.max(self.compile_postfix(&rule.antecedent, &mut slots, &mut ops));
+            let output = position(declared.iter().copied(), &rule.consequent.variable)
+                .expect("validated consequent variable");
+            let term = declared[output]
+                .term_index(&rule.consequent.term)
+                .expect("validated consequent term");
+            let shape = match *declared[output].terms()[term].membership() {
+                MembershipFunction::RightShoulder { a, b } => Shape::Ramp(a, b),
+                _ => Shape::Sampled,
+            };
+            let current = &mut outputs[output].shape;
+            if *current == Shape::Untargeted {
+                *current = shape;
+            } else if *current != shape {
+                *current = Shape::Sampled;
+            }
+            rules.push(CompiledRule {
+                ops,
+                weight: rule.weight,
+                output,
+                grid: intern(&mut consequents, (output, term)),
+            });
+        }
+        let grids = consequents
+            .iter()
+            .map(|&(output, term)| {
+                let (out, term) = (&outputs[output], &declared[output].terms()[term]);
+                FuzzySet::from_membership(term.membership(), out.lo, out.hi, self.config.resolution)
+            })
+            .collect();
+        let read_inputs = self
+            .rules
+            .input_variables()
+            .into_iter()
+            .map(|name| position(&self.inputs, name).expect("validated antecedent variable"))
+            .collect();
+        let closed_form = self.config.inference == InferenceMethod::MaxMin
+            && self.config.defuzzifier == Defuzzifier::LeftmostMax
+            && outputs.iter().all(|out| out.shape != Shape::Sampled);
+        Program {
+            read_inputs,
+            slots,
+            rules,
+            names: declared.iter().map(|var| var.name().to_string()).collect(),
+            outputs,
+            grids,
+            depth,
+            closed_form,
+        }
+    }
+
+    /// Append `ant` to `ops` in postfix order, interning each atom's grade
+    /// slot; returns the operand-stack depth it needs.
+    fn compile_postfix(
+        &self,
+        ant: &Antecedent,
+        slots: &mut Vec<(usize, usize)>,
+        ops: &mut Vec<Op>,
+    ) -> usize {
+        match ant {
+            Antecedent::Is { variable, term } => {
+                let input =
+                    position(&self.inputs, variable).expect("validated antecedent variable");
+                let term = self.inputs[input]
+                    .term_index(term)
+                    .expect("validated antecedent term");
+                ops.push(Op::Grade(intern(slots, (input, term))));
+                1
+            }
+            Antecedent::And(a, b) | Antecedent::Or(a, b) => {
+                let left = self.compile_postfix(a, slots, ops);
+                let right = self.compile_postfix(b, slots, ops);
+                ops.push(match ant {
+                    Antecedent::And(..) => Op::And,
+                    _ => Op::Or,
+                });
+                left.max(right + 1)
+            }
+            Antecedent::Not(a) => {
+                let depth = self.compile_postfix(a, slots, ops);
+                ops.push(Op::Not);
+                depth
+            }
+        }
     }
 }
 
+/// Position of the variable called `name` in `vars`.
+fn position<'a>(
+    vars: impl IntoIterator<Item = &'a LinguisticVariable>,
+    name: &str,
+) -> Option<usize> {
+    vars.into_iter().position(|v| v.name() == name)
+}
+
+/// Index of `key` in `keys`, appending it when absent.
+fn intern(keys: &mut Vec<(usize, usize)>, key: (usize, usize)) -> usize {
+    keys.iter().position(|&k| k == key).unwrap_or_else(|| {
+        keys.push(key);
+        keys.len() - 1
+    })
+}
+
+/// One measurement per column, each column one row long.
+fn one_row<'a>(measured: &'a [(&'a str, f64)]) -> Vec<(&'a str, &'a [f64])> {
+    measured
+        .iter()
+        .map(|(name, value)| (*name, std::slice::from_ref(value)))
+        .collect()
+}
+
 fn validate_terms(
-    ant: &crate::rule::Antecedent,
+    ant: &Antecedent,
     var_name: &str,
     var: &LinguisticVariable,
 ) -> Result<(), FuzzyError> {
@@ -676,82 +789,12 @@ fn validate_terms(
     }
 }
 
-/// A rule antecedent compiled against a batch's grade columns: `Is` atoms
-/// become indices into the per-`(variable, term)` grade slots, so per-row
-/// evaluation does no string hashing at all.
-#[derive(Debug, Clone)]
-enum BatchNode {
-    Is(usize),
-    And(Box<BatchNode>, Box<BatchNode>),
-    Or(Box<BatchNode>, Box<BatchNode>),
-    Not(Box<BatchNode>),
-}
-
-impl BatchNode {
-    /// Evaluate this node element-wise over all rows into `out`. The
-    /// combinators are the same `f64::min` / `f64::max` / `1.0 − x` (left
-    /// operand first) as `Antecedent::eval`, applied per element.
-    fn eval_into(&self, grades: &[Vec<f64>], out: &mut [f64]) {
-        match self {
-            BatchNode::Is(slot) => out.copy_from_slice(&grades[*slot]),
-            BatchNode::And(a, b) => {
-                a.eval_into(grades, out);
-                let mut rhs = vec![0.0; out.len()];
-                b.eval_into(grades, &mut rhs);
-                for (l, &r) in out.iter_mut().zip(rhs.iter()) {
-                    *l = l.min(r);
-                }
-            }
-            BatchNode::Or(a, b) => {
-                a.eval_into(grades, out);
-                let mut rhs = vec![0.0; out.len()];
-                b.eval_into(grades, &mut rhs);
-                for (l, &r) in out.iter_mut().zip(rhs.iter()) {
-                    *l = l.max(r);
-                }
-            }
-            BatchNode::Not(a) => {
-                a.eval_into(grades, out);
-                for v in out.iter_mut() {
-                    *v = 1.0 - *v;
-                }
-            }
-        }
-    }
-}
-
-/// Resolve every `Is` atom of `ant` to its grade-column slot.
-fn compile_antecedent(
-    ant: &crate::rule::Antecedent,
-    slot_of: &HashMap<(&str, &str), usize>,
-) -> Result<BatchNode, FuzzyError> {
-    use crate::rule::Antecedent::*;
-    Ok(match ant {
-        Is { variable, term } => BatchNode::Is(
-            *slot_of
-                .get(&(variable.as_str(), term.as_str()))
-                .ok_or_else(|| FuzzyError::UnknownVariable {
-                    name: format!("{variable} IS {term}"),
-                })?,
-        ),
-        And(a, b) => BatchNode::And(
-            Box::new(compile_antecedent(a, slot_of)?),
-            Box::new(compile_antecedent(b, slot_of)?),
-        ),
-        Or(a, b) => BatchNode::Or(
-            Box::new(compile_antecedent(a, slot_of)?),
-            Box::new(compile_antecedent(b, slot_of)?),
-        ),
-        Not(a) => BatchNode::Not(Box::new(compile_antecedent(a, slot_of)?)),
-    })
-}
-
 /// The full result of [`Engine::run_detailed`].
 #[derive(Debug, Clone)]
 pub struct DetailedOutputs {
     /// The crisp values.
     pub outputs: Outputs,
-    /// Per-output aggregated fuzzy sets and rule truths.
+    /// Per targeted output: the aggregated fuzzy set and rule truths.
     pub inference: HashMap<String, InferenceResult>,
 }
 
@@ -899,19 +942,25 @@ mod tests {
     }
 
     #[test]
-    fn set_config_resamples_term_grids() {
-        // Changing the resolution after rules were added must not leave
-        // stale grids behind (union would panic on mismatched discretization).
+    fn set_config_resamples_consequent_grids() {
+        // Changing the resolution after the rule base was compiled must not
+        // leave stale grids behind (union would panic on mismatched
+        // discretization).
         let mut e = paper_engine();
+        let m = [("cpuLoad", 0.9), ("performanceIndex", 1.0)];
+        e.run_detailed(m).unwrap();
         e.set_config(EngineConfig {
             resolution: 51,
             defuzzifier: Defuzzifier::MeanOfMaxima,
             ..EngineConfig::default()
         });
-        let out = e
-            .run([("cpuLoad", 0.9), ("performanceIndex", 1.0)])
-            .unwrap();
+        let out = e.run(m).unwrap();
         assert!(out["scaleUp"] > 0.7);
+        // Mean-of-maxima takes the sampled route, as `run_detailed` does.
+        assert_eq!(
+            out["scaleUp"],
+            e.run_detailed(m).unwrap().outputs["scaleUp"]
+        );
     }
 
     #[test]
@@ -1012,6 +1061,56 @@ mod tests {
     }
 
     #[test]
+    fn variables_iterate_in_declaration_order_and_outputs_in_name_order() {
+        let mut e = Engine::new();
+        e.add_input(load_variable("zeta"));
+        e.add_input(load_variable("alpha"));
+        for name in ["scaleUp", "move", "start"] {
+            e.add_output(LinguisticVariable::applicability(name));
+        }
+        e.add_rule_str("IF zeta IS high THEN start IS applicable")
+            .unwrap();
+        let declared: Vec<&str> = e.outputs().map(|v| v.name()).collect();
+        assert_eq!(declared, ["scaleUp", "move", "start"]);
+        let inputs: Vec<&str> = e.inputs().map(|v| v.name()).collect();
+        assert_eq!(inputs, ["zeta", "alpha"]);
+
+        let out = e.run([("zeta", 1.0), ("alpha", 0.0)]).unwrap();
+        let names: Vec<&str> = out.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["move", "scaleUp", "start"]);
+        let batch = e
+            .run_batch(&[("zeta", &[1.0, 0.0][..]), ("alpha", &[0.0, 0.0][..])])
+            .unwrap();
+        let row = batch.row(1);
+        let names: Vec<&str> = row.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["move", "scaleUp", "start"]);
+        assert_eq!(batch.column("start").unwrap(), [1.0, 0.0]);
+        assert_eq!(
+            out.ranked(),
+            [("start", 1.0), ("move", 0.0), ("scaleUp", 0.0)]
+        );
+    }
+
+    #[test]
+    fn every_change_after_an_evaluation_recompiles() {
+        let mut e = Engine::new();
+        e.add_input(load_variable("x"));
+        e.add_output(LinguisticVariable::applicability("a"));
+        e.add_rule_str("IF x IS high THEN a IS applicable").unwrap();
+        assert_eq!(e.run([("x", 1.0)]).unwrap().len(), 1);
+        e.add_output(LinguisticVariable::applicability("b"));
+        assert_eq!(e.run([("x", 1.0)]).unwrap().get("b"), Some(0.0));
+        e.add_input(load_variable("y"));
+        assert!(e.run([("x", 1.0)]).is_ok());
+        e.add_rule_str("IF y IS high THEN b IS applicable").unwrap();
+        assert!(matches!(
+            e.run([("x", 1.0)]),
+            Err(FuzzyError::MissingMeasurement { .. })
+        ));
+        assert_eq!(e.run([("x", 1.0), ("y", 1.0)]).unwrap()["b"], 1.0);
+    }
+
+    #[test]
     fn non_finite_measurements_are_rejected() {
         let e = paper_engine();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -1071,8 +1170,8 @@ mod tests {
 
     #[test]
     fn batch_matches_scalar_on_the_non_analytic_fallback() {
-        // Triangle consequent → sampled path; run_batch must transparently
-        // fall back to per-row scalar cycles and stay bit-identical.
+        // Triangle consequent → sampled route, row by row; run_batch must
+        // stay bit-identical to scalar runs there too.
         let mut e = Engine::new();
         e.add_input(load_variable("x"));
         e.add_output(

@@ -4,10 +4,17 @@
 //! fuzzy set of each rule is clipped at the truth of its antecedent, and all
 //! clipped sets of the same output variable are combined with the fuzzy union
 //! (pointwise maximum). We also provide *max–product* inference (scaling
-//! instead of clipping) for ablation studies; for the paper's single-ramp
-//! `applicable` output sets combined with leftmost-max defuzzification the
-//! two coincide in their ranking of actions, which the ablation bench
-//! demonstrates.
+//! instead of clipping) for ablation studies. The two do not rank actions
+//! alike: scaling the single-ramp `applicable` set by any positive truth
+//! leaves its maximum at the right edge, so leftmost-max defuzzification
+//! rates every action that fires at all as fully applicable, and the
+//! ablation (`experiments ablation`) measures 0 % top-action agreement with
+//! the paper's max–min under max-product/leftmost-max.
+//!
+//! [`infer`] is the string-keyed reference: it looks every antecedent atom
+//! up by name and samples each consequent's membership function on every
+//! call. [`crate::Engine`] compiles its rule base once and evaluates that
+//! program instead; the tests hold the engine to this function bit for bit.
 
 use crate::rule::RuleBase;
 use crate::set::{FuzzySet, DEFAULT_RESOLUTION};
@@ -64,8 +71,7 @@ impl Default for InferenceConfig {
 /// Evaluate `rules` given already-fuzzified input grades.
 ///
 /// `grades` maps `(variable, term)` pairs to membership grades; missing pairs
-/// are an error (the [`crate::Engine`] front-end guarantees they are always
-/// present by fuzzifying every declared input).
+/// are an error.
 ///
 /// `outputs` supplies the output variables' term membership functions and
 /// universes. The result maps output variable names to their aggregated sets.
@@ -73,31 +79,6 @@ pub fn infer(
     rules: &RuleBase,
     grades: &HashMap<(String, String), Truth>,
     outputs: &HashMap<String, LinguisticVariable>,
-    config: InferenceConfig,
-) -> Result<HashMap<String, InferenceResult>, FuzzyError> {
-    infer_impl(rules, grades, outputs, None, config)
-}
-
-/// Like [`infer`], but consequent term sets come from `grids` — sampled once
-/// per `(output variable, term)` pair ahead of time — instead of being
-/// re-sampled from the membership function on every call. The
-/// [`crate::Engine`] maintains such a grid cache keyed by exactly these
-/// pairs; grids must match `config.resolution`.
-pub fn infer_with_grids(
-    rules: &RuleBase,
-    grades: &HashMap<(String, String), Truth>,
-    outputs: &HashMap<String, LinguisticVariable>,
-    grids: &HashMap<(String, String), FuzzySet>,
-    config: InferenceConfig,
-) -> Result<HashMap<String, InferenceResult>, FuzzyError> {
-    infer_impl(rules, grades, outputs, Some(grids), config)
-}
-
-fn infer_impl(
-    rules: &RuleBase,
-    grades: &HashMap<(String, String), Truth>,
-    outputs: &HashMap<String, LinguisticVariable>,
-    grids: Option<&HashMap<(String, String), FuzzySet>>,
     config: InferenceConfig,
 ) -> Result<HashMap<String, InferenceResult>, FuzzyError> {
     let mut results: HashMap<String, InferenceResult> = HashMap::new();
@@ -136,28 +117,13 @@ fn infer_impl(
         entry.rule_truths.push(truth);
 
         if truth > 0.0 {
-            let key = (
-                rule.consequent.variable.clone(),
-                rule.consequent.term.clone(),
-            );
-            match grids.and_then(|g| g.get(&key)) {
-                // Fast path: clip/scale and union fused over the shared grid,
-                // no per-rule set materialization.
-                Some(grid) => match config.method {
-                    InferenceMethod::MaxMin => entry.set.union_clipped(grid, truth),
-                    InferenceMethod::MaxProduct => entry.set.union_scaled(grid, truth),
-                },
-                // Legacy path: sample the membership function on the spot.
-                None => {
-                    let mut clipped =
-                        FuzzySet::from_membership(term.membership(), lo, hi, config.resolution);
-                    match config.method {
-                        InferenceMethod::MaxMin => clipped.clip(truth),
-                        InferenceMethod::MaxProduct => clipped.scale(truth),
-                    }
-                    entry.set.union_assign(&clipped);
-                }
+            let mut clipped =
+                FuzzySet::from_membership(term.membership(), lo, hi, config.resolution);
+            match config.method {
+                InferenceMethod::MaxMin => clipped.clip(truth),
+                InferenceMethod::MaxProduct => clipped.scale(truth),
             }
+            entry.set.union_assign(&clipped);
         }
     }
 
@@ -167,8 +133,10 @@ fn infer_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, EngineConfig};
+    use crate::membership::MembershipFunction;
     use crate::parser::parse_rules;
-    use crate::variable::LinguisticVariable;
+    use crate::variable::{load_variable, LinguisticVariable};
 
     type Setup = (
         RuleBase,
@@ -313,31 +281,54 @@ mod tests {
 
     #[test]
     fn precomputed_grids_reproduce_the_sampling_path_exactly() {
-        // `infer_with_grids` over grids sampled once must be bit-identical to
-        // `infer` re-sampling the membership functions per call, for both
-        // inference methods.
-        let (rules, grades, outputs) = paper_setup();
-        let mut grids = HashMap::new();
-        for (name, var) in &outputs {
-            let (lo, hi) = var.range();
-            for term in var.terms() {
-                grids.insert(
-                    (name.clone(), term.name().to_string()),
-                    FuzzySet::from_membership(term.membership(), lo, hi, DEFAULT_RESOLUTION),
-                );
+        // The engine samples each consequent grid once per compilation; its
+        // `run_detailed` must equal `infer`, which re-samples the membership
+        // functions per call, bit for bit under both inference methods.
+        let (rules, _, outputs) = paper_setup();
+        let perf = LinguisticVariable::builder("performanceIndex")
+            .range(0.0, 10.0)
+            .term("low", MembershipFunction::trapezoid(0.0, 0.0, 1.0, 3.0))
+            .term("medium", MembershipFunction::trapezoid(1.0, 3.0, 5.0, 7.0))
+            .term("high", MembershipFunction::trapezoid(5.0, 7.0, 10.0, 10.0))
+            .build()
+            .unwrap();
+        let inputs = [(load_variable("cpuLoad"), 0.9), (perf, 5.8)];
+        let mut grades = HashMap::new();
+        for (var, x) in &inputs {
+            for (term, grade) in var.fuzzify_named(*x) {
+                grades.insert((var.name().to_string(), term.to_string()), grade);
             }
         }
         for method in [InferenceMethod::MaxMin, InferenceMethod::MaxProduct] {
+            let mut engine = Engine::with_config(EngineConfig {
+                inference: method,
+                ..EngineConfig::default()
+            });
+            for (var, _) in &inputs {
+                engine.add_input(var.clone());
+            }
+            for name in ["scaleUp", "scaleOut"] {
+                engine.add_output(outputs[name].clone());
+            }
+            for rule in rules.rules() {
+                engine.add_rule(rule.clone()).unwrap();
+            }
             let cfg = InferenceConfig {
                 method,
                 ..Default::default()
             };
             let fresh = infer(&rules, &grades, &outputs, cfg).unwrap();
-            let cached = infer_with_grids(&rules, &grades, &outputs, &grids, cfg).unwrap();
-            assert_eq!(fresh.len(), cached.len());
+            let detailed = engine
+                .run_detailed(inputs.iter().map(|(var, x)| (var.name(), *x)))
+                .unwrap();
+            assert_eq!(fresh.len(), detailed.inference.len());
             for (name, r) in &fresh {
-                assert_eq!(r.rule_truths, cached[name].rule_truths);
-                assert_eq!(r.set, cached[name].set, "{name} under {method:?}");
+                let compiled = &detailed.inference[name];
+                assert_eq!(
+                    r.rule_truths, compiled.rule_truths,
+                    "{name} under {method:?}"
+                );
+                assert_eq!(r.set, compiled.set, "{name} under {method:?}");
             }
         }
     }

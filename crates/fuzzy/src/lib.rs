@@ -91,7 +91,7 @@ pub mod variable;
 pub use defuzz::Defuzzifier;
 pub use engine::{BatchOutputs, Engine, EngineConfig, Outputs};
 pub use error::FuzzyError;
-pub use inference::{infer, infer_with_grids, InferenceConfig, InferenceMethod, InferenceResult};
+pub use inference::{infer, InferenceConfig, InferenceMethod, InferenceResult};
 pub use membership::MembershipFunction;
 pub use parser::{parse_rule, parse_rules};
 pub use rule::{Antecedent, Consequent, Rule, RuleBase};

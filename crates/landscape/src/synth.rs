@@ -184,7 +184,7 @@ fn build_servers(landscape: &mut Landscape, total: usize) -> [Vec<ServerId>; 4] 
 ///
 /// Topology: one subsystem per `DbClass` server. Each subsystem gets a
 /// database (exclusive on every second subsystem, minimum performance
-/// index [`DB_MIN_PERFORMANCE_INDEX`]), a central instance and two
+/// index `DB_MIN_PERFORMANCE_INDEX`), a central instance and two
 /// application services — one interactive, one night-batch. Non-database
 /// servers are dealt round-robin to the subsystems; roughly 60 % of each
 /// subsystem's share receives an initial application instance (the rest is

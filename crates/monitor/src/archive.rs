@@ -215,7 +215,7 @@ impl LoadArchive {
     /// time-of-day slot of width `slot`, across all recorded days. Slot `i`
     /// covers `[i · slot, (i+1) · slot)` of the day. Slots with no data are
     /// 0. This is the pattern-matching substrate for load forecasting
-    /// (paper Section 7 / [8]).
+    /// (paper Section 7 / \[8\]).
     pub fn daily_profile(&self, subject: Subject, slot: SimDuration) -> Vec<f64> {
         let slot_secs = slot.as_secs().max(1);
         let slots = (86_400 / slot_secs) as usize;

@@ -23,7 +23,7 @@
 //!    the request-flow model accumulates per-instance demand, in workload
 //!    order (sequential: it reads shared session state).
 //! 3. **Per-server evaluation** — each server's raw load, memory load and
-//!    rolling-window smoothing live in an independent [`ServerLane`];
+//!    rolling-window smoothing live in an independent `ServerLane`;
 //!    this phase has disjoint write sets per server and fans across
 //!    `SimConfig::inner_jobs` scoped threads.
 //! 4. **Deterministic reduction** — every cross-server fold (load sum,
