@@ -510,7 +510,9 @@ impl Supervisor {
 
     /// The historic load archive of servers and services, the subjects
     /// proactive checks forecast. Instance measurements reach the load
-    /// view and any registered advisor, not the archive.
+    /// view and any registered advisor, not the archive. It holds 32 bytes
+    /// per archived subject and one-minute bucket, and under a monitor
+    /// scope only the owned subjects are archived.
     pub fn archive(&self) -> &LoadArchive {
         &self.archive
     }
@@ -626,17 +628,15 @@ impl Supervisor {
         }
         // Instances are not registered as monitored subjects by default
         // (triggers come from servers and services), but measurements for
-        // registered ones flow through.
-        if self.monitoring.is_registered(subject) {
-            if let Some(trigger) = self
-                .monitoring
-                .observe(subject, LoadSample::new(time, cpu, mem))
-            {
-                self.pending_triggers.push(PendingTrigger {
-                    event: trigger,
-                    forecast: None,
-                });
-            }
+        // registered ones flow through; `observe` ignores the others.
+        if let Some(trigger) = self
+            .monitoring
+            .observe(subject, LoadSample::new(time, cpu, mem))
+        {
+            self.pending_triggers.push(PendingTrigger {
+                event: trigger,
+                forecast: None,
+            });
         }
     }
 
@@ -1335,6 +1335,54 @@ mod tests {
             0.3,
             "the instance's load still reaches the load view"
         );
+    }
+
+    #[test]
+    fn scoped_supervisor_archives_only_what_it_owns() {
+        // Delta replication's owner scope keeps each replica's archive to
+        // its own subjects, so the archive's slots, and its memory, cover
+        // 1/shards of the landscape.
+        let mut landscape = Landscape::new();
+        let servers: Vec<ServerId> = (0..8)
+            .map(|i| {
+                landscape
+                    .add_server(ServerSpec::fsc_bx300(format!("Blade{i}")))
+                    .unwrap()
+            })
+            .collect();
+        let services: Vec<ServiceId> = (0..8)
+            .map(|i| {
+                landscape
+                    .add_service(ServiceSpec::new(
+                        format!("S{i}"),
+                        ServiceKind::ApplicationServer,
+                    ))
+                    .unwrap()
+            })
+            .collect();
+        let map = ShardMap::new(&landscape, 2);
+        let server_in = |shard| *servers.iter().find(|&&s| map.shard_of(s) == shard).unwrap();
+        let service_in = |shard| {
+            *services
+                .iter()
+                .find(|&&s| map.shard_of_service(s) == shard)
+                .unwrap()
+        };
+        let (own_server, foreign_server) = (server_in(0), server_in(1));
+        let (own_service, foreign_service) = (service_in(0), service_in(1));
+        let mut sup = Supervisor::new(landscape);
+        sup.set_monitor_scope(map, BTreeSet::from([0]));
+        let t = SimTime::from_minutes(1);
+        sup.record_server(own_server, t, 0.5, 0.2);
+        sup.record_server(foreign_server, t, 0.6, 0.3);
+        sup.record_service(own_service, t, 0.4);
+        sup.record_service(foreign_service, t, 0.7);
+        assert_eq!(
+            sup.archive().subjects().collect::<Vec<_>>(),
+            vec![Subject::Server(own_server), Subject::Service(own_service)]
+        );
+        assert_eq!(sup.load_view().cpu(Subject::Server(foreign_server)), 0.6);
+        assert_eq!(sup.load_view().cpu(Subject::Service(foreign_service)), 0.7);
     }
 
     /// The default configuration must reproduce the original synchronous

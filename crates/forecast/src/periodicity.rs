@@ -12,16 +12,24 @@
 /// zero variance (a constant series correlates with everything — callers
 /// should treat it as aperiodic).
 pub fn autocorrelation(series: &[f64], lag: usize) -> Option<f64> {
-    if lag == 0 || series.len() < lag + 2 {
-        return None;
-    }
-    let n = series.len() - lag;
+    let (mean, variance) = moments(series);
+    correlation(series, lag, mean, variance)
+}
+
+/// The mean and the population variance of `series`.
+fn moments(series: &[f64]) -> (f64, f64) {
     let mean: f64 = series.iter().sum::<f64>() / series.len() as f64;
     let variance: f64 =
         series.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / series.len() as f64;
-    if variance < 1e-12 {
+    (mean, variance)
+}
+
+/// [`autocorrelation`] at `lag` from the series' precomputed [`moments`].
+fn correlation(series: &[f64], lag: usize, mean: f64, variance: f64) -> Option<f64> {
+    if lag == 0 || series.len() < lag + 2 || variance < 1e-12 {
         return None;
     }
+    let n = series.len() - lag;
     let covariance: f64 = (0..n)
         .map(|i| (series[i] - mean) * (series[i + lag] - mean))
         .sum::<f64>()
@@ -31,16 +39,18 @@ pub fn autocorrelation(series: &[f64], lag: usize) -> Option<f64> {
 
 /// Find the lag in `[min_lag, max_lag]` with the highest autocorrelation.
 /// Returns `(lag, correlation)`; `None` if the series is too short, has no
-/// variance, or no candidate correlates above `threshold`.
+/// variance, or no candidate correlates above `threshold`. The series'
+/// moments are computed once for all lags.
 pub fn detect_period(
     series: &[f64],
     min_lag: usize,
     max_lag: usize,
     threshold: f64,
 ) -> Option<(usize, f64)> {
+    let (mean, variance) = moments(series);
     let mut best: Option<(usize, f64)> = None;
     for lag in min_lag..=max_lag {
-        if let Some(r) = autocorrelation(series, lag) {
+        if let Some(r) = correlation(series, lag, mean, variance) {
             if r >= threshold && best.is_none_or(|(_, br)| r > br) {
                 best = Some((lag, r));
             }
@@ -119,5 +129,42 @@ mod tests {
             })
             .collect();
         assert!(detect_period(&series, 2, 40, 0.9).is_none());
+    }
+
+    #[test]
+    fn detect_period_matches_a_per_lag_scan() {
+        // The moments computed once must give every lag the bits that
+        // `autocorrelation` computes for it alone, on noisy, periodic and
+        // constant series alike.
+        autoglobe_rng::check::cases(256, |rng| {
+            let len = rng.random_below(200);
+            let period = (2 + rng.random_below(40)) as f64;
+            let series: Vec<f64> = match rng.random_below(4) {
+                0 => vec![rng.random_range(0.0..=1.0); len],
+                1 => (0..len).map(|_| rng.random_range(0.0..=1.0)).collect(),
+                _ => (0..len)
+                    .map(|i| {
+                        let phase = i as f64 / period * std::f64::consts::TAU;
+                        0.5 + 0.3 * phase.sin() + rng.random_range(-0.1..=0.1)
+                    })
+                    .collect(),
+            };
+            let min_lag = rng.random_below(30);
+            let max_lag = min_lag + rng.random_below(30);
+            let threshold = rng.random_range(-1.0..=1.0);
+            let mut expected: Option<(usize, f64)> = None;
+            for lag in min_lag..=max_lag {
+                if let Some(r) = autocorrelation(&series, lag) {
+                    if r >= threshold && expected.is_none_or(|(_, br)| r > br) {
+                        expected = Some((lag, r));
+                    }
+                }
+            }
+            let bits = |best: Option<(usize, f64)>| best.map(|(lag, r)| (lag, r.to_bits()));
+            assert_eq!(
+                bits(detect_period(&series, min_lag, max_lag, threshold)),
+                bits(expected)
+            );
+        });
     }
 }

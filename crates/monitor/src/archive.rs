@@ -8,21 +8,28 @@
 //!
 //! # Layout
 //!
-//! Each subject owns one contiguous `Vec` of buckets, kept sorted by the
-//! bucket index (time / bucket width) stored in each bucket. A bucket is
-//! 40 bytes: the index, the CPU and memory sums, the CPU maximum and the
-//! sample count. Only buckets that hold data exist, so a far-future
-//! timestamp adds one bucket, not a gap.
+//! The archive is a list of *blocks*, kept sorted by start. A block covers
+//! 64 consecutive bucket indices (index = time / bucket width), starting at
+//! a multiple of 64. A subject gets a dense *slot* the first time one of its
+//! samples is recorded, and a block holds one run of 64 cells per slot,
+//! slot after slot: the cell of bucket `index` is
+//! `cells[slot · 64 + (index − start)]`. A cell is 32 bytes: the CPU and
+//! memory sums, the CPU maximum and the sample count; a count of 0 means
+//! the bucket holds no data. Slots are dense over archived subjects, not
+//! over ids, so an archive fed one shard's subjects stores only their runs.
 //!
-//! - A sample for the subject's newest bucket, or a later one, is a tail
-//!   update or a push: amortised O(1).
-//! - An out-of-order sample binary-searches its bucket and, when the
-//!   bucket is new, inserts it: O(log n) plus the shift of the later
-//!   buckets. It lands in the same bucket, with the same effect on the
-//!   sums, as it would have in time order.
-//! - A range query is two binary searches and a walk over the slice
-//!   between them, in ascending bucket order, so every float sum is taken
-//!   in the same order whatever order the samples arrived in.
+//! - A sample for the newest block is one write at a constant stride:
+//!   O(1). A slot that first appears in the middle of a block appends its
+//!   run to that block.
+//! - A sample for an older block binary-searches the blocks: O(log b).
+//!   When its block does not exist yet, the block is inserted in start
+//!   order, shifting the later ones. An out-of-order sample lands in the
+//!   same bucket, with the same effect on the sums, as it would have in
+//!   time order, and a far-future timestamp adds one block, not a gap.
+//! - A query for one subject binary-searches its first block and walks the
+//!   subject's 64-cell run in each block up to its last, in ascending bucket
+//!   order, so every float sum is taken in the same order whatever order
+//!   the samples arrived in.
 //!
 //! # Input rules
 //!
@@ -33,22 +40,28 @@
 
 use crate::subject::Subject;
 use crate::time::{SimDuration, SimTime};
-use autoglobe_landscape::{InstanceId, ServerId, ServiceId};
 
-/// One aggregation bucket, tagged with its index so a subject's buckets
-/// can live in one sorted `Vec`.
+/// Bucket indices per block.
+const SPAN: u64 = 64;
+
+/// Cells per slot in a block.
+const RUN: usize = SPAN as usize;
+
+/// Slot-lane entry of a subject that was never archived.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One aggregation bucket of one subject; `count == 0` means no data.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-struct Bucket {
-    index: u64,
+struct Cell {
     sum_cpu: f64,
     sum_mem: f64,
     max_cpu: f64,
     count: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Bucket>() == 40);
+const _: () = assert!(std::mem::size_of::<Cell>() == 32);
 
-impl Bucket {
+impl Cell {
     fn add(&mut self, cpu: f64, mem: f64) {
         self.sum_cpu += cpu;
         self.sum_mem += mem;
@@ -57,28 +70,41 @@ impl Bucket {
     }
 
     fn avg_cpu(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_cpu / self.count as f64
-        }
+        self.sum_cpu / self.count as f64
     }
 
     fn avg_mem(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_mem / self.count as f64
-        }
+        self.sum_mem / self.count as f64
     }
 }
 
-/// The buckets of a sorted slice whose index lies in `[first, last]`
-/// (`first ≤ last`).
-fn window(buckets: &[Bucket], first: u64, last: u64) -> &[Bucket] {
-    let start = buckets.partition_point(|b| b.index < first);
-    let end = buckets.partition_point(|b| b.index <= last);
-    &buckets[start..end]
+/// The cells of 64 consecutive bucket indices from `start`, one run per
+/// slot. Slots at or past `cells.len() / 64` hold no data here.
+#[derive(Debug, Clone)]
+struct Block {
+    start: u64,
+    cells: Vec<Cell>,
+}
+
+impl Block {
+    /// The last bucket index the block covers. Inclusive, because the end
+    /// `start + 64` of the block holding `u64::MAX` does not fit a `u64`.
+    fn last(&self) -> u64 {
+        self.start + (SPAN - 1)
+    }
+
+    fn run(&self, slot: usize) -> Option<&[Cell]> {
+        self.cells.get(slot * RUN..(slot + 1) * RUN)
+    }
+}
+
+/// The slot lane of `subject`'s kind, and its raw id.
+fn lane_of(subject: Subject) -> (usize, usize) {
+    match subject {
+        Subject::Server(id) => (0, id.index()),
+        Subject::Service(id) => (1, id.index()),
+        Subject::Instance(id) => (2, id.index()),
+    }
 }
 
 /// An aggregated load point returned by archive queries.
@@ -96,16 +122,19 @@ pub struct ArchivePoint {
 
 /// Time-bucketed aggregated load storage, keyed by subject.
 ///
-/// The per-subject bucket arrays live in dense per-kind lanes indexed by
-/// the raw id (ids are dense in this system): the per-tick record path
-/// resolves its subject with one array access. An empty array is a subject
-/// without data.
+/// Blocks of 64 buckets hold every archived subject's cells (see the module
+/// docs). Servers, services and instances each map their raw id to a slot
+/// through one dense lane (ids are dense in this system), so the per-tick
+/// record path resolves its subject with one array access.
 #[derive(Debug, Clone)]
 pub struct LoadArchive {
     bucket: SimDuration,
-    servers: Vec<Vec<Bucket>>,
-    services: Vec<Vec<Bucket>>,
-    instances: Vec<Vec<Bucket>>,
+    /// Per kind (servers, services, instances): raw id → slot, or
+    /// `NO_SLOT`.
+    slots: [Vec<u32>; 3],
+    /// The subject of each slot, in the order the slots were assigned.
+    owners: Vec<Subject>,
+    blocks: Vec<Block>,
 }
 
 impl LoadArchive {
@@ -118,9 +147,9 @@ impl LoadArchive {
         assert!(bucket.as_secs() > 0, "bucket width must be positive");
         LoadArchive {
             bucket,
-            servers: Vec::new(),
-            services: Vec::new(),
-            instances: Vec::new(),
+            slots: Default::default(),
+            owners: Vec::new(),
+            blocks: Vec::new(),
         }
     }
 
@@ -133,13 +162,71 @@ impl LoadArchive {
         time.as_secs() / self.bucket.as_secs()
     }
 
-    fn buckets(&self, subject: Subject) -> &[Bucket] {
-        let (lane, idx) = match subject {
-            Subject::Server(id) => (&self.servers, id.index()),
-            Subject::Service(id) => (&self.services, id.index()),
-            Subject::Instance(id) => (&self.instances, id.index()),
+    fn slot(&self, subject: Subject) -> Option<usize> {
+        let (kind, id) = lane_of(subject);
+        match self.slots[kind].get(id) {
+            Some(&slot) if slot != NO_SLOT => Some(slot as usize),
+            _ => None,
+        }
+    }
+
+    fn slot_or_insert(&mut self, subject: Subject) -> usize {
+        let (kind, id) = lane_of(subject);
+        let lane = &mut self.slots[kind];
+        if lane.len() <= id {
+            lane.resize(id + 1, NO_SLOT);
+        }
+        if lane[id] == NO_SLOT {
+            lane[id] = self.owners.len() as u32;
+            self.owners.push(subject);
+        }
+        lane[id] as usize
+    }
+
+    /// The block holding bucket `index`, inserted in start order when
+    /// missing. A new block reserves a run for every slot known so far.
+    fn block_mut(&mut self, index: u64) -> &mut Block {
+        let start = index - index % SPAN;
+        let at = match self.blocks.last() {
+            Some(last) if last.start > start => self.blocks.partition_point(|b| b.start < start),
+            Some(last) if last.start == start => self.blocks.len() - 1,
+            _ => self.blocks.len(),
         };
-        lane.get(idx).map_or(&[], Vec::as_slice)
+        if self.blocks.get(at).is_none_or(|b| b.start != start) {
+            let cells = Vec::with_capacity(self.owners.len() * RUN);
+            self.blocks.insert(at, Block { start, cells });
+        }
+        &mut self.blocks[at]
+    }
+
+    /// Visit `subject`'s cells that hold data, for bucket indices in
+    /// `[first, last]` (`first ≤ last`), in ascending index order.
+    fn for_each_cell(
+        &self,
+        subject: Subject,
+        first: u64,
+        last: u64,
+        mut visit: impl FnMut(u64, &Cell),
+    ) {
+        let Some(slot) = self.slot(subject) else {
+            return;
+        };
+        let from = self.blocks.partition_point(|b| b.last() < first);
+        for block in &self.blocks[from..] {
+            if block.start > last {
+                break;
+            }
+            let Some(run) = block.run(slot) else {
+                continue;
+            };
+            let lo = first.saturating_sub(block.start) as usize;
+            let hi = (last - block.start).min(SPAN - 1) as usize;
+            for (offset, cell) in (lo as u64..).zip(&run[lo..=hi]) {
+                if cell.count > 0 {
+                    visit(block.start + offset, cell);
+                }
+            }
+        }
     }
 
     /// Record a measurement. Loads are clamped to `[0, 1]`; a sample with
@@ -149,30 +236,13 @@ impl LoadArchive {
             return;
         }
         let index = self.bucket_index(time);
-        let (lane, i) = match subject {
-            Subject::Server(id) => (&mut self.servers, id.index()),
-            Subject::Service(id) => (&mut self.services, id.index()),
-            Subject::Instance(id) => (&mut self.instances, id.index()),
-        };
-        if lane.len() <= i {
-            lane.resize_with(i + 1, Vec::new);
+        let slot = self.slot_or_insert(subject);
+        let block = self.block_mut(index);
+        let at = slot * RUN + (index - block.start) as usize;
+        if block.cells.len() <= at {
+            block.cells.resize((slot + 1) * RUN, Cell::default());
         }
-        let buckets = &mut lane[i];
-        let at = match buckets.last() {
-            Some(last) if last.index > index => buckets.partition_point(|b| b.index < index),
-            Some(last) if last.index == index => buckets.len() - 1,
-            _ => buckets.len(),
-        };
-        if buckets.get(at).is_none_or(|b| b.index != index) {
-            buckets.insert(
-                at,
-                Bucket {
-                    index,
-                    ..Bucket::default()
-                },
-            );
-        }
-        buckets[at].add(cpu.clamp(0.0, 1.0), mem.clamp(0.0, 1.0));
+        block.cells[at].add(cpu.clamp(0.0, 1.0), mem.clamp(0.0, 1.0));
     }
 
     /// Average CPU load of `subject` over `[from, to)`. `None` if nothing
@@ -182,10 +252,10 @@ impl LoadArchive {
         let (lo, hi) = (self.bucket_index(from), self.bucket_index(to));
         let mut sum = 0.0;
         let mut count = 0u64;
-        for b in window(self.buckets(subject), lo, hi.saturating_sub(1).max(lo)) {
-            sum += b.sum_cpu;
-            count += b.count as u64;
-        }
+        self.for_each_cell(subject, lo, hi.saturating_sub(1).max(lo), |_, cell| {
+            sum += cell.sum_cpu;
+            count += cell.count as u64;
+        });
         if count == 0 {
             None
         } else {
@@ -197,18 +267,18 @@ impl LoadArchive {
     /// bucket that holds data.
     pub fn series(&self, subject: Subject, from: SimTime, to: SimTime) -> Vec<ArchivePoint> {
         let (lo, hi) = (self.bucket_index(from), self.bucket_index(to));
-        if hi <= lo {
-            return Vec::new();
+        let mut points = Vec::new();
+        if hi > lo {
+            self.for_each_cell(subject, lo, hi - 1, |index, cell| {
+                points.push(ArchivePoint {
+                    time: SimTime::from_secs(index * self.bucket.as_secs()),
+                    avg_cpu: cell.avg_cpu(),
+                    avg_mem: cell.avg_mem(),
+                    max_cpu: cell.max_cpu,
+                });
+            });
         }
-        window(self.buckets(subject), lo, hi - 1)
-            .iter()
-            .map(|b| ArchivePoint {
-                time: SimTime::from_secs(b.index * self.bucket.as_secs()),
-                avg_cpu: b.avg_cpu(),
-                avg_mem: b.avg_mem(),
-                max_cpu: b.max_cpu,
-            })
-            .collect()
+        points
     }
 
     /// The average *daily profile* of `subject`: average CPU load per
@@ -221,14 +291,14 @@ impl LoadArchive {
         let slots = (86_400 / slot_secs) as usize;
         let mut sums = vec![0.0; slots];
         let mut counts = vec![0u64; slots];
-        for b in self.buckets(subject) {
-            let start = b.index * self.bucket.as_secs();
+        self.for_each_cell(subject, 0, u64::MAX, |index, cell| {
+            let start = index * self.bucket.as_secs();
             let slot_idx = ((start % 86_400) / slot_secs) as usize;
             if slot_idx < slots {
-                sums[slot_idx] += b.sum_cpu;
-                counts[slot_idx] += b.count as u64;
+                sums[slot_idx] += cell.sum_cpu;
+                counts[slot_idx] += cell.count as u64;
             }
-        }
+        });
         sums.iter()
             .zip(&counts)
             .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
@@ -238,52 +308,41 @@ impl LoadArchive {
     /// Subjects with recorded data: servers, then services, then instances,
     /// each in ascending id order (the order of [`Subject`]'s derived `Ord`).
     pub fn subjects(&self) -> impl Iterator<Item = Subject> + '_ {
-        let present = |lane: &[Vec<Bucket>]| {
-            lane.iter()
-                .enumerate()
-                .filter(|(_, buckets)| !buckets.is_empty())
-                .map(|(i, _)| i as u32)
-                .collect::<Vec<_>>()
-        };
-        present(&self.servers)
-            .into_iter()
-            .map(|i| Subject::Server(ServerId::new(i)))
-            .chain(
-                present(&self.services)
-                    .into_iter()
-                    .map(|i| Subject::Service(ServiceId::new(i))),
-            )
-            .chain(
-                present(&self.instances)
-                    .into_iter()
-                    .map(|i| Subject::Instance(InstanceId::new(i))),
-            )
+        let mut present: Vec<Subject> = (0..self.owners.len())
+            .filter(|&slot| {
+                self.blocks
+                    .iter()
+                    .filter_map(|b| b.run(slot))
+                    .any(|run| run.iter().any(|c| c.count > 0))
+            })
+            .map(|slot| self.owners[slot])
+            .collect();
+        present.sort_unstable();
+        present.into_iter()
     }
 
     /// Total number of non-empty buckets across all subjects (a size gauge).
     pub fn bucket_count(&self) -> usize {
-        self.servers
+        self.blocks
             .iter()
-            .chain(&self.services)
-            .chain(&self.instances)
-            .map(Vec::len)
-            .sum()
+            .flat_map(|b| &b.cells)
+            .filter(|c| c.count > 0)
+            .count()
     }
 
-    /// Drop all data older than `horizon` before `now` (archive compaction).
+    /// Drop all data older than `horizon` before `now` (archive compaction):
+    /// the blocks wholly below the cutoff, and the part of the first kept
+    /// block below it.
     pub fn retain_recent(&mut self, now: SimTime, horizon: SimDuration) {
         let cutoff = self.bucket_index(now - horizon);
-        for buckets in self
-            .servers
-            .iter_mut()
-            .chain(&mut self.services)
-            .chain(&mut self.instances)
-        {
-            let stale = buckets.partition_point(|b| b.index < cutoff);
-            if stale == buckets.len() {
-                *buckets = Vec::new();
-            } else {
-                buckets.drain(..stale);
+        let stale = self.blocks.partition_point(|b| b.last() < cutoff);
+        self.blocks.drain(..stale);
+        if let Some(block) = self.blocks.first_mut() {
+            if block.start < cutoff {
+                let cut = (cutoff - block.start) as usize;
+                for run in block.cells.chunks_exact_mut(RUN) {
+                    run[..cut].fill(Cell::default());
+                }
             }
         }
     }
@@ -418,6 +477,26 @@ mod tests {
         let end = SimTime::from_secs(u64::MAX);
         assert_eq!(a.average_cpu(s, end, end), Some(0.25));
         assert_eq!(a.series(s, SimTime::ZERO, end).len(), 1);
+    }
+
+    #[test]
+    fn the_block_holding_u64_max_is_queryable() {
+        // At a 1-s width the last block starts 64 s before u64::MAX; its
+        // end does not fit a u64.
+        let mut a = LoadArchive::new(SimDuration::from_secs(1));
+        let s = subject();
+        for secs in [u64::MAX - 64, u64::MAX - 63, u64::MAX] {
+            a.record(s, SimTime::from_secs(secs), 0.5, 0.1);
+        }
+        let (from, end) = (
+            SimTime::from_secs(u64::MAX - 63),
+            SimTime::from_secs(u64::MAX),
+        );
+        assert_eq!(a.series(s, SimTime::ZERO, end).len(), 2);
+        assert_eq!(a.average_cpu(s, end, end), Some(0.5));
+        a.retain_recent(end, end.since(from));
+        assert_eq!(a.bucket_count(), 2);
+        assert_eq!(a.subjects().collect::<Vec<_>>(), vec![s]);
     }
 
     #[test]

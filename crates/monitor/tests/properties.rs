@@ -329,12 +329,69 @@ fn assert_archives_agree(
     }
 }
 
+/// A `LoadArchive` and its reference, fed the same stream.
+struct Replay {
+    archive: LoadArchive,
+    reference: ReferenceArchive,
+    /// The latest timestamp recorded so far.
+    latest: u64,
+}
+
+impl Replay {
+    fn new(width: u64) -> Self {
+        Replay {
+            archive: LoadArchive::new(SimDuration::from_secs(width)),
+            reference: ReferenceArchive::new(width),
+            latest: 0,
+        }
+    }
+
+    /// Record one sample with random, sometimes hostile, loads.
+    fn record(&mut self, rng: &mut Rng, subject: Subject, time: u64) {
+        let (cpu, mem) = (random_load(rng), random_load(rng));
+        self.archive
+            .record(subject, SimTime::from_secs(time), cpu, mem);
+        self.reference
+            .record(subject, SimTime::from_secs(time), cpu, mem);
+        self.latest = self.latest.max(time);
+    }
+
+    fn retain_recent(&mut self, now: u64, horizon: u64) {
+        let (now, horizon) = (SimTime::from_secs(now), SimDuration::from_secs(horizon));
+        self.archive.retain_recent(now, horizon);
+        self.reference.retain_recent(now, horizon);
+    }
+
+    fn assert_agree(&self, subjects: &[Subject], rng: &mut Rng, clock: u64) {
+        assert_archives_agree(
+            &self.archive,
+            &self.reference,
+            subjects,
+            rng,
+            (clock, self.latest),
+        );
+    }
+}
+
+/// Bucket indices per `LoadArchive` block.
+const BLOCK: u64 = 64;
+
 #[test]
 fn flat_archive_matches_the_tree_oracle() {
-    // Random streams over all three subject kinds: in-order, same-bucket,
-    // out-of-order and far-apart timestamps (one near u64::MAX seconds),
-    // hostile loads and retention cuts. After every step each query must
-    // equal the tree-backed reference bit for bit.
+    // Streams over all three subject kinds, each subject first recorded
+    // mid-stream in an order unlike its id:
+    // - a dense in-order stretch over at least three consecutive 64-bucket
+    //   blocks, from block 2 or later;
+    // - out-of-order samples into blocks that do not exist yet, before the
+    //   stretch and in a gap after a far-ahead sample;
+    // - a retention cut inside a block, then more samples, some of them
+    //   below the cut in the block it kept;
+    // - a random walk of in-order, same-bucket, out-of-order and far-apart
+    //   timestamps (one within 10,000 s of u64::MAX, often within 64 s, so
+    //   that at a 1-s width it lands in the block holding u64::MAX),
+    //   hostile loads and retention cuts.
+    // After every step of the walk, and throughout the structured phases,
+    // each query must equal the tree-backed reference bit for bit.
     let subjects = [
         Subject::Server(ServerId::new(0)),
         Subject::Server(ServerId::new(3)),
@@ -345,15 +402,100 @@ fn flat_archive_matches_the_tree_oracle() {
     ];
     check::cases(96, |rng| {
         let width = *rng.choice(&[1u64, 7, 60, 3_600]);
-        let mut archive = LoadArchive::new(SimDuration::from_secs(width));
-        let mut reference = ReferenceArchive::new(width);
+        let mut replay = Replay::new(width);
+        let at = |rng: &mut Rng, bucket: u64| bucket * width + rng.random_int(0..=width - 1);
+
+        // First-record order: shuffled, never ascending, each subject
+        // joining at its own bucket of the dense stretch.
+        let mut order = subjects.to_vec();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.random_below(i + 1));
+        }
+        if order.is_sorted() {
+            order.reverse();
+        }
+        let first_bucket = rng.random_int(2 * BLOCK..=10 * BLOCK);
+        let end_bucket =
+            first_bucket.next_multiple_of(BLOCK) + 3 * BLOCK + rng.random_int(0..=BLOCK - 1);
+        let mut joins: Vec<u64> = (1..order.len())
+            .map(|_| rng.random_int(first_bucket + 1..=end_bucket - 1))
+            .collect();
+        joins.sort_unstable();
+        joins.insert(0, first_bucket);
+
+        // Dense stretch.
+        let mut active = 0;
+        for bucket in first_bucket..end_bucket {
+            let joined = active;
+            while active < order.len() && joins[active] == bucket {
+                active += 1;
+            }
+            for (i, &subject) in order[..active].iter().enumerate() {
+                if i >= joined || rng.random_bool(0.75) {
+                    for _ in 0..1 + rng.random_below(2) {
+                        let time = at(rng, bucket);
+                        replay.record(rng, subject, time);
+                    }
+                }
+            }
+            if active > joined || bucket % BLOCK == BLOCK - 1 || rng.random_below(16) == 0 {
+                replay.assert_agree(&subjects, rng, bucket * width);
+            }
+        }
+        let mut clock = end_bucket * width;
+
+        // Out of order into missing blocks: one before the stretch, and one
+        // in the gap behind a sample two or more blocks ahead.
+        let record_at = |rng: &mut Rng, replay: &mut Replay, bucket: u64| {
+            let (subject, time) = (*rng.choice(&subjects), at(rng, bucket));
+            replay.record(rng, subject, time);
+        };
+        let before = rng.random_int(0..=first_bucket - first_bucket % BLOCK - 1);
+        record_at(rng, &mut replay, before);
+        replay.assert_agree(&subjects, rng, clock);
+        let ahead = end_bucket.next_multiple_of(BLOCK) + rng.random_int(2..=5) * BLOCK;
+        record_at(rng, &mut replay, ahead);
+        let gap = rng.random_int(end_bucket.next_multiple_of(BLOCK)..=ahead - 1);
+        record_at(rng, &mut replay, gap);
+        replay.assert_agree(&subjects, rng, clock);
+
+        // A retention cut inside a block, then more samples: in order, and
+        // below the cut in the block it kept.
+        let cut = loop {
+            let c = rng.random_int(first_bucket + 1..=end_bucket - 1);
+            if c % BLOCK != 0 {
+                break c;
+            }
+        };
+        replay.retain_recent(clock, clock - cut * width);
+        replay.assert_agree(&subjects, rng, clock);
+        for bucket in end_bucket..end_bucket + BLOCK {
+            for &subject in &subjects {
+                if rng.random_bool(0.75) {
+                    let time = at(rng, bucket);
+                    replay.record(rng, subject, time);
+                }
+            }
+            if rng.random_below(8) == 0 {
+                let below = rng.random_int(cut - cut % BLOCK..=cut - 1);
+                record_at(rng, &mut replay, below);
+            }
+            if bucket % BLOCK == BLOCK - 1 || rng.random_below(16) == 0 {
+                replay.assert_agree(&subjects, rng, bucket * width);
+            }
+        }
+        clock = (end_bucket + BLOCK) * width;
+
+        // Random walk.
         let near_max_step = rng.random_below(80);
-        let mut clock = 0u64;
-        let mut latest = 0u64;
         for step in 0..80 {
             let subject = *rng.choice(&subjects);
             let time = if step == near_max_step {
-                u64::MAX - rng.random_int(0..=10_000)
+                if rng.random_bool(0.5) {
+                    u64::MAX - rng.random_int(0..=BLOCK - 1)
+                } else {
+                    u64::MAX - rng.random_int(0..=10_000)
+                }
             } else {
                 match rng.random_below(10) {
                     0..=3 => {
@@ -364,26 +506,16 @@ fn flat_archive_matches_the_tree_oracle() {
                     6 | 7 => rng.random_int(0..=clock),
                     8 => clock + rng.random_int(1_000_000..=1_000_000_000_000),
                     _ => {
-                        let now = SimTime::from_secs(rng.random_int(0..=latest));
-                        let horizon = SimDuration::from_secs(rng.random_int(0..=latest));
-                        archive.retain_recent(now, horizon);
-                        reference.retain_recent(now, horizon);
-                        assert_archives_agree(
-                            &archive,
-                            &reference,
-                            &subjects,
-                            rng,
-                            (clock, latest),
-                        );
+                        let now = rng.random_int(0..=replay.latest);
+                        let horizon = rng.random_int(0..=replay.latest);
+                        replay.retain_recent(now, horizon);
+                        replay.assert_agree(&subjects, rng, clock);
                         continue;
                     }
                 }
             };
-            latest = latest.max(time);
-            let (cpu, mem) = (random_load(rng), random_load(rng));
-            archive.record(subject, SimTime::from_secs(time), cpu, mem);
-            reference.record(subject, SimTime::from_secs(time), cpu, mem);
-            assert_archives_agree(&archive, &reference, &subjects, rng, (clock, latest));
+            replay.record(rng, subject, time);
+            replay.assert_agree(&subjects, rng, clock);
         }
     });
 }

@@ -117,7 +117,8 @@ impl Simulation {
         &self.metrics
     }
 
-    /// The load archive (consumed by forecasting).
+    /// The load archive (consumed by forecasting): every server and
+    /// service, 32 bytes per subject and one-minute bucket.
     pub fn archive(&self) -> &LoadArchive {
         &self.archive
     }
