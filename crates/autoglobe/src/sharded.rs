@@ -1975,6 +1975,39 @@ mod tests {
     }
 
     #[test]
+    fn plane_routing_drops_never_issued_ids() {
+        // Routing drops a subject the landscape never issued before it
+        // reaches an owner's inbox, a delta or the sample ring, so no
+        // replica's dense lanes grow to it.
+        let (mut plane, servers) = tiny_plane(3, ExecutorConfig::reliable());
+        let bounds = {
+            let l = plane.landscape();
+            [
+                l.num_servers(),
+                l.num_services(),
+                l.instance_id_bound() as usize,
+            ]
+        };
+        for minute in 1..=2 {
+            let t = SimTime::from_minutes(minute);
+            plane.record_server(servers[1], t, 0.5, 0.2);
+            for id in [1 << 20, (1 << 20) + 7] {
+                plane.record_server(ServerId::new(id), t, 0.9, 0.9);
+                plane.record_service(ServiceId::new(id), t, 0.9);
+                plane.record_instance(InstanceId::new(id), t, 0.9);
+            }
+            plane.tick(t).unwrap();
+        }
+        for i in 0..plane.shards() {
+            let lens = plane.supervisor(i).load_lane_lens();
+            assert!(
+                lens.iter().zip(bounds).all(|(len, bound)| *len <= bound),
+                "replica {i}: lanes {lens:?} beyond the landscape's ids {bounds:?}"
+            );
+        }
+    }
+
+    #[test]
     fn killed_owner_is_confirmed_and_its_shards_readopted_under_a_new_epoch() {
         let (mut plane, servers) = tiny_plane(3, ExecutorConfig::reliable());
         let minute = SimDuration::from_minutes(1);

@@ -489,6 +489,23 @@ impl Supervisor {
         &self.loads
     }
 
+    /// The longest server, service and instance lane of the load view.
+    #[cfg(test)]
+    pub(crate) fn load_lane_lens(&self) -> [usize; 3] {
+        let l = &self.loads;
+        [
+            l.server_cpu
+                .len()
+                .max(l.server_mem.len())
+                .max(l.server_set.len()),
+            l.service_cpu.len().max(l.service_set.len()),
+            l.instance_cpu
+                .len()
+                .max(l.instance_mem.len())
+                .max(l.instance_set.len()),
+        ]
+    }
+
     /// Mutable access for administrative changes (registering servers and
     /// services). Newly added entities are picked up by monitoring on the
     /// next [`Supervisor::tick`]; departed ones (stopped instances) are
@@ -599,22 +616,43 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Record a server measurement.
+    /// Record a server measurement. A server index the landscape never
+    /// issued (at or above [`Landscape::num_servers`]) is dropped before
+    /// it touches any state.
     pub fn record_server(&mut self, server: ServerId, time: SimTime, cpu: f64, mem: f64) {
         self.record(Subject::Server(server), time, cpu, mem);
     }
 
-    /// Record a service (aggregate) measurement.
+    /// Record a service (aggregate) measurement. A service index the
+    /// landscape never issued (at or above [`Landscape::num_services`]) is
+    /// dropped before it touches any state.
     pub fn record_service(&mut self, service: ServiceId, time: SimTime, cpu: f64) {
         self.record(Subject::Service(service), time, cpu, 0.0);
     }
 
-    /// Record an instance measurement.
+    /// Record an instance measurement. An instance index the landscape
+    /// never issued (at or above [`Landscape::instance_id_bound`]) is
+    /// dropped before it touches any state; a departed instance's is
+    /// handled as before.
     pub fn record_instance(&mut self, instance: InstanceId, time: SimTime, cpu: f64) {
         self.record(Subject::Instance(instance), time, cpu, 0.0);
     }
 
+    /// Whether the landscape ever issued `subject`'s id. The load view and
+    /// the archive keep dense lanes indexed by raw id, so a never-issued
+    /// id (say, one near `u32::MAX`) would grow them to its size.
+    fn issued(&self, subject: Subject) -> bool {
+        match subject {
+            Subject::Server(s) => s.index() < self.landscape.num_servers(),
+            Subject::Service(s) => s.index() < self.landscape.num_services(),
+            Subject::Instance(i) => i.index() < self.landscape.instance_id_bound() as usize,
+        }
+    }
+
     fn record(&mut self, subject: Subject, time: SimTime, cpu: f64, mem: f64) {
+        if !self.issued(subject) {
+            return;
+        }
         self.loads.set(subject, cpu, mem);
         // Outside the owner scope only the replicated load view is kept —
         // no foreign monitoring or archive state at all.
@@ -854,9 +892,12 @@ impl Supervisor {
     /// input for cross-shard candidate hosts — without touching
     /// monitoring or archive state. This is the load section of a shard
     /// delta, applied exactly where `apply_remote` applies the mutation
-    /// section.
+    /// section. A subject whose id the landscape never issued is dropped,
+    /// as [`Supervisor::record_server`] drops it.
     pub fn apply_remote_load(&mut self, subject: Subject, cpu: f64, mem: f64) {
-        self.loads.set(subject, cpu, mem);
+        if self.issued(subject) {
+            self.loads.set(subject, cpu, mem);
+        }
     }
 
     /// Install a pre-built advisor (the sharded plane's re-adoption path
@@ -1335,6 +1376,64 @@ mod tests {
             0.3,
             "the instance's load still reaches the load view"
         );
+    }
+
+    #[test]
+    fn never_issued_ids_are_dropped_before_any_lane_grows() {
+        let (mut fed, blade, big, fi, instance) = minimal();
+        let (mut clean, ..) = minimal();
+        for minute in 0..3 {
+            let t = SimTime::from_minutes(minute);
+            for sup in [&mut fed, &mut clean] {
+                sup.record_server(blade, t, 0.5, 0.2);
+                sup.record_service(fi, t, 0.4);
+                sup.record_instance(instance, t, 0.3);
+            }
+            // Ids near 2^20 of every kind, never issued, through every
+            // ingest call.
+            for id in [1 << 20, (1 << 20) + 7] {
+                fed.record_server(ServerId::new(id), t, 0.9, 0.9);
+                fed.record_service(ServiceId::new(id), t, 0.9);
+                fed.record_instance(InstanceId::new(id), t, 0.9);
+                fed.apply_remote_load(Subject::Server(ServerId::new(id)), 0.9, 0.9);
+                fed.apply_remote_load(Subject::Service(ServiceId::new(id)), 0.9, 0.0);
+                fed.apply_remote_load(Subject::Instance(InstanceId::new(id)), 0.9, 0.0);
+            }
+        }
+        let landscape = fed.landscape();
+        let bounds = [
+            landscape.num_servers(),
+            landscape.num_services(),
+            landscape.instance_id_bound() as usize,
+        ];
+        let lens = fed.load_lane_lens();
+        assert!(
+            lens.iter().zip(bounds).all(|(len, bound)| *len <= bound),
+            "lanes {lens:?} must stay within the landscape's ids {bounds:?}"
+        );
+        assert_eq!(lens, clean.load_lane_lens());
+        // Real ids answer exactly as on a supervisor never fed the others.
+        let subjects = [
+            Subject::Server(blade),
+            Subject::Server(big),
+            Subject::Service(fi),
+            Subject::Instance(instance),
+        ];
+        for subject in subjects {
+            let (a, b) = (fed.load_view(), clean.load_view());
+            assert_eq!(a.cpu(subject).to_bits(), b.cpu(subject).to_bits());
+            assert_eq!(a.mem(subject).to_bits(), b.mem(subject).to_bits());
+            let (from, to) = (SimTime::ZERO, SimTime::from_minutes(3));
+            assert_eq!(
+                fed.archive().series(subject, from, to),
+                clean.archive().series(subject, from, to)
+            );
+        }
+        assert_eq!(
+            fed.archive().subjects().collect::<Vec<_>>(),
+            clean.archive().subjects().collect::<Vec<_>>()
+        );
+        assert_eq!(fed.archive().bucket_count(), clean.archive().bucket_count());
     }
 
     #[test]

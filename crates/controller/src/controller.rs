@@ -7,7 +7,7 @@
 //! success, and an administrator alert when nothing sufficiently applicable
 //! remains.
 
-use crate::cache::{FastMap, ScoreCache, ScoreCacheStats};
+use crate::cache::{ScoreCache, ScoreCacheStats};
 use crate::executor::{DecidedAction, PlannedTrigger};
 use crate::index::HostIndex;
 use crate::inputs::{ActionInputs, LoadView, ServerInputs};
@@ -17,8 +17,8 @@ use crate::rulebase::RuleBases;
 use crate::selection::{ActionSelector, RankedAction, ServerSelector};
 use autoglobe_fuzzy::EngineConfig;
 use autoglobe_landscape::{
-    check_action, Action, ActionKind, InstanceId, Landscape, LandscapeError, ServerId, ServerSpec,
-    ServiceId,
+    check_action, Action, ActionKind, ApplyOutcome, InstanceId, Landscape, LandscapeError,
+    ServerId, ServerSpec, ServiceId,
 };
 use autoglobe_monitor::{SimDuration, SimTime, Subject, TriggerEvent, TriggerKind};
 
@@ -116,22 +116,24 @@ pub struct AutoGlobeController {
     log: Vec<ControllerEvent>,
     pending: Vec<PendingAction>,
     next_pending_id: u64,
-    /// Cross-trigger fuzzy-score cache: bounded, its per-server verdicts
-    /// flushed whenever the landscape revision moves.
+    /// Cross-trigger fuzzy-score cache: one exact verdict per engine slot
+    /// and server, which no landscape revision flushes.
     score_cache: ScoreCache,
-    /// Cross-trigger [`HostIndex`] memo, keyed by landscape revision. The
-    /// index is a pure function of the allocation, and every landscape
-    /// mutation bumps the revision, so a revision hit replays the identical
-    /// index a fresh build would produce. Same caveat as the score cache:
-    /// the controller assumes it is driven against one landscape, which
-    /// every supervisor upholds.
+    /// Cross-trigger [`HostIndex`] memo, keyed by the landscape revision it
+    /// is current for. The index is a pure function of the allocation, and
+    /// every landscape mutation bumps the revision, so a revision hit
+    /// replays the identical index a fresh build would produce. The
+    /// controller's own instance mutations patch it and move its key along
+    /// ([`Self::mutate`]); any other mutation leaves it stale, and its next
+    /// use rebuilds it. The controller assumes it is driven against one
+    /// landscape, which every supervisor upholds.
     host_index: Option<(u64, HostIndex)>,
-    /// Reusable pass-1 buffer of [`Self::rank_hosts_over`]: one entry per
-    /// eligible server, ~170 bytes each, so letting each rank call grow a
-    /// fresh vector would re-copy hundreds of kilobytes per trigger. Length
-    /// is meaningless between calls.
-    eligible_scratch: Vec<(ServerId, ServerInputs, [u64; 10])>,
 }
+
+/// What one mutation did to the allocation: instance `.0` of service `.1`
+/// left server `.2` (when it ran before) and runs on server `.3` (when it
+/// still runs) — the arguments of [`HostIndex::relocate`].
+pub(crate) type Relocation = (InstanceId, ServiceId, Option<ServerId>, Option<ServerId>);
 
 impl AutoGlobeController {
     /// A controller with the paper's default rule bases and configuration.
@@ -152,7 +154,6 @@ impl AutoGlobeController {
             next_pending_id: 0,
             score_cache: ScoreCache::default(),
             host_index: None,
-            eligible_scratch: Vec::new(),
         }
     }
 
@@ -161,9 +162,10 @@ impl AutoGlobeController {
         self.score_cache.stats()
     }
 
-    /// Flush the cross-trigger score cache. Invalidation on landscape
-    /// changes is automatic (revision-tracked); call this after swapping
-    /// rule bases or engine configuration out from under the controller.
+    /// Flush the cross-trigger score cache. Landscape changes need no
+    /// flush: a verdict is checked against all ten input lanes, so it stays
+    /// exact across any allocation change. Call this after swapping rule
+    /// bases or engine configuration out from under the controller.
     pub fn clear_score_cache(&mut self) {
         self.score_cache.clear();
     }
@@ -502,11 +504,11 @@ impl AutoGlobeController {
     }
 
     /// Score all eligible hosts for a candidate, best first. Runs the
-    /// indexed path: one [`HostIndex`] build (O(instances + servers)), then
-    /// constant-time constraint prefilters and memoized fuzzy scoring per
-    /// server — bit-identical to the exhaustive scan (see
-    /// [`AutoGlobeController::rank_hosts_exhaustive`]) but sublinear per
-    /// trigger once the idle pool dominates.
+    /// indexed path: the memoized [`HostIndex`] (rebuilt in
+    /// O(instances + servers) only when it is stale), then constant-time
+    /// constraint prefilters and cached fuzzy scoring per server —
+    /// bit-identical to the exhaustive scan (see
+    /// [`AutoGlobeController::rank_hosts_exhaustive`]).
     fn rank_hosts(
         &mut self,
         candidate: &Candidate,
@@ -522,9 +524,8 @@ impl AutoGlobeController {
     }
 
     /// The revision-keyed [`HostIndex`] memo, take side: reuse the cached
-    /// index while the allocation is unchanged; any landscape mutation —
-    /// including one executed between two candidates of the same trigger —
-    /// bumps the revision and forces a rebuild.
+    /// index while it is current, and rebuild it after any landscape
+    /// mutation that [`Self::mutate`] did not patch in.
     pub(crate) fn take_index(&mut self, landscape: &Landscape) -> HostIndex {
         match self.host_index.take() {
             Some((cached, index)) if cached == landscape.revision() => index,
@@ -544,13 +545,41 @@ impl AutoGlobeController {
         self.host_index = Some((landscape.revision(), index));
     }
 
-    /// The indexed ranking pass over a prebuilt [`HostIndex`]: one
-    /// constraint-prefilter pass gathering the dense input lanes of every
-    /// eligible server, cache resolution against the per-server verdict
-    /// layer and the cross-trigger pattern memo, then a **single**
-    /// column-wise engine cycle ([`ServerSelector::score_batch`]) over the
-    /// distinct uncached input patterns — no per-server engine call, no
-    /// per-server `HashMap`.
+    /// Every instance mutation the controller makes goes through here:
+    /// apply `mutation`, then patch the [`HostIndex`] memo with the
+    /// [`Relocation`] that `relocation` reads off its result (`None`: the
+    /// allocation did not change, as for a priority change). The memo is
+    /// patched and stays current only when it was current right before the
+    /// mutation and the mutation moved the revision by exactly one;
+    /// otherwise it stays stale and its next use rebuilds it. A failed
+    /// mutation changes nothing.
+    pub(crate) fn mutate<T>(
+        &mut self,
+        landscape: &mut Landscape,
+        mutation: impl FnOnce(&mut Landscape) -> Result<T, LandscapeError>,
+        relocation: impl FnOnce(&T, &Landscape) -> Option<Relocation>,
+    ) -> Result<T, LandscapeError> {
+        let before = landscape.revision();
+        let result = mutation(landscape)?;
+        if let Some((revision, index)) = &mut self.host_index {
+            if *revision == before && landscape.revision() == before + 1 {
+                if let Some((instance, service, from, to)) = relocation(&result, landscape) {
+                    index.relocate(landscape, instance, service, from, to);
+                }
+                *revision = before + 1;
+            }
+        }
+        Ok(result)
+    }
+
+    /// The indexed ranking pass over a prebuilt [`HostIndex`], in one walk
+    /// of the servers: the exhaustive scan's constraint prefilters in its
+    /// order, the dense lane gather, a skip for rows with a non-finite lane,
+    /// and the server's verdict check. The misses go to a **single**
+    /// column-wise engine cycle ([`ServerSelector::score_batch`]), whose
+    /// scores are stored as their verdicts; then one sort. Allocation
+    /// changes need no flush: a server whose `instancesOnServer` moved
+    /// misses on that lane, every other server hits.
     fn rank_hosts_over(
         &mut self,
         candidate: &Candidate,
@@ -560,7 +589,6 @@ impl AutoGlobeController {
         now: SimTime,
         index: &HostIndex,
     ) -> Vec<(ServerId, f64)> {
-        self.score_cache.sync_revision(landscape.revision());
         let slot = {
             let key = self
                 .server_selector
@@ -574,15 +602,14 @@ impl AutoGlobeController {
             .and_then(|h| landscape.server(h).ok())
             .map(|s| s.performance_index);
 
-        // Pass 1: constraint prefilters and dense lane gather — the
-        // exhaustive scan's filters, in its order; no engine calls.
         // The protection set is snapshotted once (it is a handful of
         // recently rearranged subjects) so the per-server probe is a
         // binary search of a tiny array, not a tree walk.
         let protected = self.protection.protected_servers(now);
-        let mut eligible = std::mem::take(&mut self.eligible_scratch);
-        eligible.clear();
-        eligible.reserve(landscape.num_servers());
+        let min_score = self.config.min_host_score;
+        let mut scored = Vec::new();
+        let mut misses: Vec<(ServerId, [u64; 10])> = Vec::new();
+        let mut rows: Vec<ServerInputs> = Vec::new();
         for server in landscape.server_ids() {
             if protected.binary_search(&server).is_ok() {
                 continue;
@@ -609,80 +636,38 @@ impl AutoGlobeController {
                 }
             }
             let inputs = gather_server_inputs(spec, index, loads, server);
-            let mut bits = [0u64; 10];
-            let mut finite = true;
-            for (slot, (_, value)) in bits.iter_mut().zip(inputs.measurements()) {
-                *slot = value.to_bits();
-                finite &= value.is_finite();
-            }
+            let lanes = inputs.measurements();
             // The engine rejects non-finite measurements and the exhaustive
             // scan skips such servers on that error; skip them up front here
             // so one poisoned lane cannot abort the whole batch.
-            if !finite {
+            if !lanes.iter().all(|(_, value)| value.is_finite()) {
                 continue;
             }
-            eligible.push((server, inputs, bits));
-        }
-
-        // Pass 2: resolve from the caches; collect the first occurrence of
-        // each uncached distinct pattern as a batch row. `refresh` is false
-        // for verdict hits, whose anchor is already stored.
-        let mut resolved: Vec<Option<(f64, bool)>> = vec![None; eligible.len()];
-        let mut batch_rows: Vec<usize> = Vec::new();
-        let mut pending: FastMap<[u64; 10], Vec<usize>> = FastMap::default();
-        for (i, (server, _, bits)) in eligible.iter().enumerate() {
-            if let Some(score) = self.score_cache.incremental_lookup(slot, *server, bits) {
-                resolved[i] = Some((score, false));
-                continue;
-            }
-            if let Some(score) = self.score_cache.pattern_lookup(slot, bits) {
-                resolved[i] = Some((score, true));
-                continue;
-            }
-            pending
-                .entry(*bits)
-                .or_insert_with(|| {
-                    batch_rows.push(i);
-                    Vec::new()
-                })
-                .push(i);
-        }
-        if !batch_rows.is_empty() {
-            let rows: Vec<ServerInputs> = batch_rows.iter().map(|&i| eligible[i].1).collect();
-            // On an engine failure (uniform across one rule base's inputs)
-            // every unresolved server stays skipped, exactly as the
-            // exhaustive scan's per-server skip-on-error behaves.
-            if let Ok(scores) =
-                self.server_selector
-                    .score_batch(candidate.kind, service_name, &rows)
-            {
-                for (&i, score) in batch_rows.iter().zip(scores) {
-                    self.score_cache.insert_pattern(slot, eligible[i].2, score);
-                    if let Some(waiters) = pending.get(&eligible[i].2) {
-                        for &j in waiters {
-                            resolved[j] = Some((score, true));
-                        }
-                    }
+            let bits = lanes.map(|(_, value)| value.to_bits());
+            match self.score_cache.lookup(slot, server, &bits) {
+                Some(score) if score >= min_score => scored.push((server, score)),
+                Some(_) => {}
+                None => {
+                    misses.push((server, bits));
+                    rows.push(inputs);
                 }
             }
         }
-
-        // Pass 3: anchor fresh verdicts and apply the administrator
-        // threshold.
-        let mut scored = Vec::new();
-        for (i, (server, _, bits)) in eligible.iter().enumerate() {
-            let Some((score, refresh)) = resolved[i] else {
-                continue;
-            };
-            if refresh {
-                self.score_cache.store_verdict(slot, *server, *bits, score);
-            }
-            if score >= self.config.min_host_score {
-                scored.push((*server, score));
+        // On an engine failure (uniform across one rule base's inputs)
+        // every miss stays skipped, exactly as the exhaustive scan's
+        // per-server skip-on-error behaves.
+        if let Ok(scores) = self
+            .server_selector
+            .score_batch(candidate.kind, service_name, &rows)
+        {
+            for ((server, bits), score) in misses.into_iter().zip(scores) {
+                self.score_cache.store(slot, server, bits, score);
+                if score >= min_score {
+                    scored.push((server, score));
+                }
             }
         }
         scored.sort_unstable_by(host_order);
-        self.eligible_scratch = eligible;
         scored
     }
 
@@ -815,7 +800,26 @@ impl AutoGlobeController {
         landscape: &mut Landscape,
         at: SimTime,
     ) -> Result<ActionRecord, LandscapeError> {
-        let outcome = landscape.apply(&action)?;
+        // A stop or move names its instance; read where it runs before the
+        // apply, which may remove it.
+        let resident = action
+            .instance()
+            .and_then(|i| landscape.instance(i).ok())
+            .map(|inst| (inst.id, inst.service, inst.server));
+        let outcome = self.mutate(
+            landscape,
+            |l| l.apply(&action),
+            |outcome, l| match *outcome {
+                ApplyOutcome::Started(id) => l
+                    .instance(id)
+                    .ok()
+                    .map(|inst| (id, inst.service, None, Some(inst.server))),
+                ApplyOutcome::Stopped(_) | ApplyOutcome::Moved { .. } => {
+                    resident.map(|(id, service, from)| (id, service, Some(from), action.target()))
+                }
+                ApplyOutcome::PriorityChanged { .. } => None,
+            },
+        )?;
         self.protect_involved(&action, landscape, at);
         let record = ActionRecord {
             time: at,
@@ -1097,7 +1101,7 @@ fn concretize(candidate: &Candidate, target: ServerId) -> Option<Action> {
 mod tests {
     use super::*;
     use crate::inputs::TableLoads;
-    use autoglobe_landscape::{ApplyOutcome, ServerSpec, ServiceKind, ServiceSpec};
+    use autoglobe_landscape::{ServerSpec, ServiceKind, ServiceSpec};
 
     /// Landscape: 2 weak blades + 1 strong DB server; FI runs two instances
     /// on the weak blades.
@@ -1553,26 +1557,25 @@ mod tests {
         let mut c = AutoGlobeController::new();
         let event = overload_event(Subject::Service(f.fi), TriggerKind::ServiceOverloaded);
 
-        // First trigger: all evaluations are fresh (the per-call memo is
-        // gone; its replacement lives on the controller).
+        // First trigger: all evaluations are fresh, and each scored
+        // server keeps its verdict on the controller.
         let first = c.plan_trigger(&event, &f.landscape, &f.loads, event.time);
         let after_first = c.score_cache_stats();
         assert!(after_first.misses > 0, "first trigger must evaluate");
-        assert!(after_first.pattern_entries > 0);
+        assert_eq!(after_first.incremental_hits, 0);
+        assert!(after_first.verdict_entries > 0);
 
-        // Second trigger on the unchanged landscape: the hoisted cache
-        // answers (the seed's per-call HashMap could not carry over).
+        // Second trigger on the unchanged landscape: every lookup is
+        // answered by a verdict, none is evaluated again.
         let second = c.plan_trigger(&event, &f.landscape, &f.loads, event.time);
         let after_second = c.score_cache_stats();
         assert!(
-            after_second.pattern_hits + after_second.incremental_hits
-                > after_first.pattern_hits + after_first.incremental_hits,
+            after_second.incremental_hits > 0,
             "second trigger must hit the cross-trigger cache: {after_second:?}"
         );
-        assert_eq!(
-            after_second.clears, after_first.clears,
-            "unchanged landscape must not flush the cache"
-        );
+        assert_eq!(after_second.misses, after_first.misses, "{after_second:?}");
+        assert_eq!(after_second.pattern_hits, 0);
+        assert_eq!(after_second.clears, 0, "only a manual clear clears");
 
         // Rankings stay bit-identical: same decision, same scores, and both
         // match a cache-cold fresh controller.
@@ -1595,27 +1598,28 @@ mod tests {
     }
 
     #[test]
-    fn landscape_mutation_flushes_the_verdict_layer() {
+    fn verdicts_outlive_landscape_mutations() {
         let mut f = fixture();
         mixed_loads(&mut f);
         let mut c = AutoGlobeController::new();
         let now = SimTime::from_minutes(30);
-        c.rank_hosts_indexed(
-            ActionKind::Move,
-            f.fi,
-            Some(f.i1),
-            &f.landscape,
-            &f.loads,
-            now,
-        );
+        let rank = |c: &mut AutoGlobeController, l: &Landscape| {
+            c.rank_hosts_indexed(ActionKind::Move, f.fi, Some(f.i1), l, &f.loads, now)
+        };
+        let cold = rank(&mut c, &f.landscape);
+        assert_eq!(cold.len(), 2, "Blade2 and Big take the move: {cold:?}");
         let before = c.score_cache_stats();
-        assert!(before.pattern_entries > 0);
+        assert_eq!((before.incremental_hits, before.misses), (0, 2));
 
-        // Any landscape mutation bumps the revision; the next ranking must
-        // drop every per-server verdict anchor (the pure-function pattern
-        // memo may stay warm).
+        // A mutation moves Big's `instancesOnServer` lane and nothing of
+        // Blade2's: Blade2's verdict still answers, Big is re-scored, and
+        // nothing is flushed.
         f.landscape.start_instance(f.fi, f.big).unwrap();
-        c.rank_hosts_indexed(
+        let warm = rank(&mut c, &f.landscape);
+        let after = c.score_cache_stats();
+        assert_eq!((after.incremental_hits, after.misses), (1, 3), "{after:?}");
+        assert_eq!(after.clears, 0);
+        let oracle = c.rank_hosts_exhaustive(
             ActionKind::Move,
             f.fi,
             Some(f.i1),
@@ -1623,9 +1627,166 @@ mod tests {
             &f.loads,
             now,
         );
-        let after = c.score_cache_stats();
-        assert_eq!(after.clears, before.clears + 1);
-        assert_eq!(after.incremental_hits, 0);
+        assert_eq!(bits(&warm), bits(&oracle));
+    }
+
+    /// A random action of a random kind, on a random running instance or
+    /// service, aimed at a random server that can host the service. Many
+    /// still fail verification; the rest exercise every allocation change.
+    fn random_action(rng: &mut autoglobe_rng::Rng, l: &Landscape) -> Action {
+        let kind = *rng.choice(&ActionKind::ALL);
+        let instances: Vec<InstanceId> = l.instances().map(|i| i.id).collect();
+        let instance = if instances.is_empty() {
+            InstanceId::new(0)
+        } else {
+            *rng.choice(&instances)
+        };
+        let service = if kind_uses_instance(kind) && !instances.is_empty() {
+            l.instance(instance).unwrap().service
+        } else {
+            ServiceId::new(rng.random_below(l.num_services()) as u32)
+        };
+        let hosts: Vec<ServerId> = l.server_ids().filter(|&s| l.can_host(service, s)).collect();
+        let target = if hosts.is_empty() {
+            ServerId::new(0)
+        } else {
+            *rng.choice(&hosts)
+        };
+        let candidate = Candidate {
+            service,
+            instance: Some(instance),
+            kind,
+            applicability: 1.0,
+        };
+        concretize(&candidate, target).expect("every kind concretizes")
+    }
+
+    #[test]
+    fn patched_host_index_equals_a_fresh_build() {
+        // A random day of writes: actions of every kind through `commit`,
+        // `confirm_pending` and executor completions; server failures,
+        // instance crashes and restart retries; out-of-band writes the
+        // controller never sees; and runs of writes with no use in
+        // between. After every step the memo must be stale, or equal array
+        // by array to a fresh build — never current and different.
+        use crate::executor::{ActionExecutor, ExecutorConfig};
+        use crate::inputs::ConstantLoads;
+        use autoglobe_landscape::synth::{generate, SynthConfig};
+        use autoglobe_monitor::{FailureEvent, FailureKind};
+        autoglobe_rng::check::cases(8, |rng| {
+            // Every kind allowed on the application services, plus two
+            // services that may stop and start from zero, one exclusive.
+            let servers = rng.random_int(20..=140) as usize;
+            let config = SynthConfig {
+                app_actions: ActionKind::ALL.to_vec(),
+                ..SynthConfig::sized(servers, rng.next_u64())
+            };
+            let mut l = generate(&config).landscape;
+            for (name, exclusive) in [("Spare", false), ("Solo", true)] {
+                let spec = ServiceSpec::new(name, ServiceKind::Generic)
+                    .with_instances(0, Some(3))
+                    .with_allowed_actions(ActionKind::ALL)
+                    .with_exclusive(exclusive);
+                let service = l.add_service(spec).unwrap();
+                let host = ServerId::new(rng.random_below(servers) as u32);
+                l.start_instance(service, host).unwrap();
+            }
+            let loads = ConstantLoads { cpu: 0.4, mem: 0.3 };
+            let now = SimTime::from_hours(1);
+            let mut c = AutoGlobeController::new();
+            let mut executor = ActionExecutor::new(ExecutorConfig::reliable(), rng.next_u64());
+            let mut lost: Vec<(InstanceId, ServiceId)> = Vec::new();
+            let (mut used_at, mut patched) = (None, 0);
+            for _ in 0..400 {
+                if rng.random_bool(0.5) {
+                    let service = ServiceId::new(rng.random_below(l.num_services()) as u32);
+                    let kind = *rng.choice(&ActionKind::ALL);
+                    if rng.random_bool(0.5) {
+                        c.rank_hosts_indexed(kind, service, None, &l, &loads, now);
+                    } else {
+                        c.best_restart_host(service, &l, &loads, now);
+                    }
+                    used_at = Some(l.revision());
+                }
+                let server = ServerId::new(rng.random_below(l.num_servers()) as u32);
+                let decided = DecidedAction {
+                    action: random_action(rng, &l),
+                    trigger: TriggerKind::ServiceOverloaded,
+                    applicability: 1.0,
+                    host_score: None,
+                    alternates: Vec::new(),
+                };
+                let planned = PlannedTrigger {
+                    decided: Some(decided.clone()),
+                    events: Vec::new(),
+                };
+                match rng.random_below(10) {
+                    0 | 1 => {
+                        c.commit(planned, &mut l, now);
+                    }
+                    2 => {
+                        c.set_mode(ExecutionMode::SemiAutomatic);
+                        c.commit(planned, &mut l, now);
+                        c.set_mode(ExecutionMode::Automatic);
+                        let id = c.pending().last().expect("queued").id;
+                        c.confirm_pending(id, &mut l, now);
+                    }
+                    3 => {
+                        executor.dispatch(decided, now);
+                        executor.poll(now, &mut l, &mut c);
+                    }
+                    4 => {
+                        let instances: Vec<InstanceId> = l.instances().map(|i| i.id).collect();
+                        let kind = if instances.is_empty() || rng.random_bool(0.3) {
+                            FailureKind::ServerFailed(server)
+                        } else {
+                            FailureKind::InstanceCrashed(*rng.choice(&instances))
+                        };
+                        let event = FailureEvent { kind, time: now };
+                        lost.extend(c.handle_failure(&event, &mut l, &loads, now).lost);
+                    }
+                    5 => {
+                        if let Some((old, service)) = lost.pop() {
+                            if c.retry_restart(service, old, &mut l, &loads, now).is_none() {
+                                lost.push((old, service));
+                            }
+                        }
+                    }
+                    6 => {
+                        // Two applies between two uses.
+                        c.commit(planned, &mut l, now);
+                        let again = random_action(rng, &l);
+                        let _ =
+                            c.apply_action(again, TriggerKind::ServerIdle, 1.0, None, &mut l, now);
+                    }
+                    7 => {
+                        l.set_available(server, rng.random_bool(0.7)).unwrap();
+                    }
+                    8 => {
+                        let service = ServiceId::new(rng.random_below(l.num_services()) as u32);
+                        l.start_instance(service, server).unwrap();
+                    }
+                    _ => {
+                        let instances: Vec<InstanceId> = l.instances().map(|i| i.id).collect();
+                        if !instances.is_empty() {
+                            l.stop_instance(*rng.choice(&instances)).unwrap();
+                        }
+                    }
+                }
+                if let Some((revision, index)) = &c.host_index {
+                    if *revision == l.revision() {
+                        index.assert_same_arrays(&HostIndex::build(&l));
+                        patched += usize::from(used_at != Some(*revision));
+                    }
+                }
+            }
+            assert!(patched > 50, "only {patched} steps left a patched memo");
+        });
+    }
+
+    /// A ranking with its scores as bit patterns, for exact comparison.
+    fn bits(ranked: &[(ServerId, f64)]) -> Vec<(ServerId, u64)> {
+        ranked.iter().map(|&(s, v)| (s, v.to_bits())).collect()
     }
 
     #[test]

@@ -4,24 +4,34 @@
 //! the full instance table, so ranking hosts for one trigger used to cost
 //! O(servers × instances) — superlinear in landscape size, and the latent
 //! blowup that dominated decisions at 1,000 servers. [`HostIndex`]
-//! folds the instance table once into dense per-server arrays (instance
-//! count, memory in use, distinct resident services), after which every
+//! folds the instance table once into dense per-server arrays (memory in
+//! use, instance ids, distinct resident services), after which every
 //! per-server constraint question is O(log residents) or O(1) and a whole
 //! trigger decision is O(instances + servers).
+//!
+//! The per-server and per-service id lists use a CSR layout: one flat id
+//! array per grouping plus prefix-sum offsets, instead of a `Vec` per
+//! server. A build is a handful of exact-sized allocations, and a group
+//! is a contiguous slice.
 //!
 //! The index has two users, both through the controller's
 //! revision-keyed memo: host ranking on the trigger path, and the
 //! self-healing restart search
 //! ([`AutoGlobeController::best_restart_host`]), which takes its placement
-//! check and `instancesOnServer` from here, so a restart costs one rebuild
-//! instead of up to three instance-table scans per server.
+//! check and `instancesOnServer` from here. The memo is *patched*, not
+//! rebuilt, by the instance mutations the controller makes itself (an
+//! applied action, a recovery's stop and start): each moves one instance
+//! in or out of one server and service group, in place. Any other
+//! mutation (a replicated action, an availability change, a write outside
+//! the controller) leaves the memo stale, and its next use rebuilds it.
 //!
 //! The index answers exactly the same questions as the exhaustive scans —
 //! [`AutoGlobeController::rank_hosts_indexed`] is proven bit-identical to
 //! [`AutoGlobeController::rank_hosts_exhaustive`], the ranking oracle, by
 //! the unit tests and by the seeded property test over synthetic
 //! landscapes (`tests/properties.rs`), which also holds the restart
-//! search to the exhaustive scan it replaced.
+//! search to the exhaustive scan it replaced. A seeded controller test
+//! holds every patched memo, array by array, to a fresh build.
 //!
 //! [`AutoGlobeController::rank_hosts_indexed`]: crate::AutoGlobeController::rank_hosts_indexed
 //! [`AutoGlobeController::rank_hosts_exhaustive`]: crate::AutoGlobeController::rank_hosts_exhaustive
@@ -31,30 +41,24 @@
 use autoglobe_landscape::{InstanceId, Landscape, ServerId, ServiceId};
 
 /// Per-server aggregates of the current allocation, built in two passes
-/// over the instance table.
-///
-/// The per-server and per-service id lists use a CSR layout (one flat id
-/// array plus prefix-sum offsets) instead of a `Vec` per server: the
-/// controller rebuilds the index whenever the landscape revision moves,
-/// which happens several times per tick under churn, and a build that
-/// allocates O(servers) small vectors costs more than the scans it
-/// replaces. The flat layout keeps a rebuild at a handful of exact-sized
-/// allocations.
+/// over the instance table; the controller patches its memoized copy in
+/// place.
 #[derive(Debug, Clone, Default)]
 pub struct HostIndex {
-    /// Instances on each server.
-    instance_count: Vec<u32>,
     /// Memory in use on each server, MB (order-independent u64 sum).
     mem_used: Vec<u64>,
     /// How many distinct resident services on each server are exclusive.
     exclusive_residents: Vec<u32>,
-    /// CSR offsets into `server_instances`, len `n + 1`.
+    /// CSR offsets into `server_instances` and `server_services`, len
+    /// `n + 1`.
     server_starts: Vec<u32>,
     /// Instance ids grouped by server, each group ascending — the id order
     /// [`Landscape::instances_on`] produces.
     ///
     /// [`Landscape::instances_on`]: autoglobe_landscape::Landscape::instances_on
     server_instances: Vec<InstanceId>,
+    /// The service of each `server_instances` slot.
+    server_services: Vec<ServiceId>,
     /// CSR offsets into `residents`, len `n + 1`.
     resident_starts: Vec<u32>,
     /// Distinct services resident on each server, each group ascending.
@@ -67,7 +71,7 @@ pub struct HostIndex {
     /// [`Landscape::instances_of`]: autoglobe_landscape::Landscape::instances_of
     service_instances: Vec<InstanceId>,
     /// Build-time temporaries retained across [`HostIndex::rebuild`] calls
-    /// so a revision bump costs refills, not reallocations.
+    /// so a rebuild costs refills, not reallocations.
     scratch: BuildScratch,
 }
 
@@ -79,13 +83,9 @@ struct BuildScratch {
     mem_per_service: Vec<u64>,
     /// `exclusive` flag per service index (spec-table hoist).
     exclusive: Vec<bool>,
-    /// Instances of each service (prefix-sum input).
-    per_service: Vec<u32>,
     /// One flat copy of the instance table, in ascending-id walk order —
     /// the fill pass re-reads this instead of walking the table again.
     table: Vec<(ServerId, ServiceId, InstanceId)>,
-    /// Resident service of each `server_instances` slot (pre-dedup).
-    server_services: Vec<ServiceId>,
     /// Per-server fill cursor into `server_instances`.
     server_cursor: Vec<u32>,
     /// Per-service fill cursor into `service_instances`.
@@ -98,6 +98,48 @@ struct BuildScratch {
 fn refill<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
     v.clear();
     v.resize(n, fill);
+}
+
+/// Turn per-group counts, stored one slot to the right, into CSR offsets.
+fn prefix_sums(starts: &mut [u32]) {
+    for i in 1..starts.len() {
+        starts[i] += starts[i - 1];
+    }
+}
+
+/// Group `g` of a CSR array; empty when `g` is out of range.
+fn group<'a, T>(starts: &[u32], values: &'a [T], g: usize) -> &'a [T] {
+    match (starts.get(g), starts.get(g + 1)) {
+        (Some(&lo), Some(&hi)) => &values[lo as usize..hi as usize],
+        _ => &[],
+    }
+}
+
+/// Insert `value` into group `g` of a CSR array, keeping the group
+/// ascending; returns the flat position it took.
+fn csr_insert<T: Ord + Copy>(starts: &mut [u32], values: &mut Vec<T>, g: usize, value: T) -> usize {
+    let at = starts[g] as usize + group(starts, values, g).partition_point(|&v| v < value);
+    values.insert(at, value);
+    for start in &mut starts[g + 1..] {
+        *start += 1;
+    }
+    at
+}
+
+/// Remove `value` from group `g` of a CSR array; returns the flat position
+/// it held, or `None` when the group does not hold it.
+fn csr_remove<T: Ord>(
+    starts: &mut [u32],
+    values: &mut Vec<T>,
+    g: usize,
+    value: &T,
+) -> Option<usize> {
+    let at = starts[g] as usize + group(starts, values, g).binary_search(value).ok()?;
+    values.remove(at);
+    for start in &mut starts[g + 1..] {
+        *start -= 1;
+    }
+    Some(at)
 }
 
 impl HostIndex {
@@ -129,13 +171,13 @@ impl HostIndex {
             }
         }
 
-        // Pass 1: counts and memory sums. The one tree walk also flattens
-        // the instance table — `instances()` ascends by instance id, so
-        // every per-server / per-service group filled from the flat copy
-        // inherits the id order the landscape's own scans produce.
-        refill(&mut self.instance_count, n, 0u32);
+        // Pass 1: group sizes and memory sums. The one tree walk also
+        // flattens the instance table — `instances()` ascends by instance
+        // id, so every per-server / per-service group filled from the flat
+        // copy inherits the id order the landscape's own scans produce.
         refill(&mut self.mem_used, n, 0u64);
-        refill(&mut self.scratch.per_service, services, 0u32);
+        refill(&mut self.server_starts, n + 1, 0u32);
+        refill(&mut self.service_starts, services + 1, 0u32);
         self.scratch.table.clear();
         for inst in landscape.instances() {
             self.scratch
@@ -143,30 +185,17 @@ impl HostIndex {
                 .push((inst.server, inst.service, inst.id));
             let svc = inst.service.index();
             if svc < services {
-                self.scratch.per_service[svc] += 1;
+                self.service_starts[svc + 1] += 1;
             }
             let s = inst.server.index();
             if s >= n {
                 continue;
             }
-            self.instance_count[s] += 1;
-            self.mem_used[s] += self
-                .scratch
-                .mem_per_service
-                .get(inst.service.index())
-                .copied()
-                .unwrap_or(0);
+            self.server_starts[s + 1] += 1;
+            self.mem_used[s] += self.scratch.mem_per_service.get(svc).copied().unwrap_or(0);
         }
-
-        // Prefix sums give each group its slice in the flat arrays.
-        refill(&mut self.server_starts, n + 1, 0u32);
-        for s in 0..n {
-            self.server_starts[s + 1] = self.server_starts[s] + self.instance_count[s];
-        }
-        refill(&mut self.service_starts, services + 1, 0u32);
-        for svc in 0..services {
-            self.service_starts[svc + 1] = self.service_starts[svc] + self.scratch.per_service[svc];
-        }
+        prefix_sums(&mut self.server_starts);
+        prefix_sums(&mut self.service_starts);
 
         // Pass 2: fill the flat arrays from the flattened table.
         let total_on_servers = self.server_starts[n] as usize;
@@ -177,7 +206,7 @@ impl HostIndex {
             InstanceId::new(0),
         );
         refill(
-            &mut self.scratch.server_services,
+            &mut self.server_services,
             total_on_servers,
             ServiceId::new(0),
         );
@@ -207,7 +236,7 @@ impl HostIndex {
             }
             let at = self.scratch.server_cursor[s] as usize;
             self.server_instances[at] = id;
-            self.scratch.server_services[at] = service;
+            self.server_services[at] = service;
             self.scratch.server_cursor[s] += 1;
         }
 
@@ -217,7 +246,7 @@ impl HostIndex {
         self.residents.clear();
         refill(&mut self.exclusive_residents, n, 0u32);
         for s in 0..n {
-            let group = &self.scratch.server_services
+            let group = &self.server_services
                 [self.server_starts[s] as usize..self.server_starts[s + 1] as usize];
             self.scratch.dedup.clear();
             self.scratch.dedup.extend_from_slice(group);
@@ -240,22 +269,94 @@ impl HostIndex {
         }
     }
 
+    /// Mirror one instance mutation: `instance` of `service` left `from`
+    /// (when it ran before) and runs on `to` (when it still runs) — a start
+    /// is `(None, Some)`, a stop `(Some, None)`, a move `(Some, Some)`.
+    /// Every array is patched in place, groups stay ascending, and a
+    /// service enters or leaves a server's residents with its first or
+    /// last instance there, so the result equals a fresh build of the
+    /// mutated landscape. `landscape` is read for the service's spec only.
+    pub(crate) fn relocate(
+        &mut self,
+        landscape: &Landscape,
+        instance: InstanceId,
+        service: ServiceId,
+        from: Option<ServerId>,
+        to: Option<ServerId>,
+    ) {
+        let (mem, exclusive) = landscape.service(service).map_or((0, false), |spec| {
+            (spec.memory_per_instance_mb, spec.exclusive)
+        });
+        let exclusive = u32::from(exclusive);
+        let servers = self.mem_used.len();
+        if let Some(s) = from.map(ServerId::index).filter(|&s| s < servers) {
+            let removed = csr_remove(
+                &mut self.server_starts,
+                &mut self.server_instances,
+                s,
+                &instance,
+            );
+            if let Some(at) = removed {
+                self.server_services.remove(at);
+                self.mem_used[s] -= mem;
+                // The service's last instance here left: so does the resident.
+                if !group(&self.server_starts, &self.server_services, s).contains(&service)
+                    && csr_remove(&mut self.resident_starts, &mut self.residents, s, &service)
+                        .is_some()
+                {
+                    self.exclusive_residents[s] -= exclusive;
+                }
+            }
+        }
+        if let Some(to) = to.filter(|t| t.index() < servers) {
+            let s = to.index();
+            let at = csr_insert(
+                &mut self.server_starts,
+                &mut self.server_instances,
+                s,
+                instance,
+            );
+            self.server_services.insert(at, service);
+            self.mem_used[s] += mem;
+            // The service's first instance here arrived: so does the resident.
+            if !self.runs_service(to, service) {
+                csr_insert(&mut self.resident_starts, &mut self.residents, s, service);
+                self.exclusive_residents[s] += exclusive;
+            }
+        }
+        let svc = service.index();
+        if svc + 1 < self.service_starts.len() {
+            match (from, to) {
+                (None, Some(_)) => {
+                    csr_insert(
+                        &mut self.service_starts,
+                        &mut self.service_instances,
+                        svc,
+                        instance,
+                    );
+                }
+                (Some(_), None) => {
+                    csr_remove(
+                        &mut self.service_starts,
+                        &mut self.service_instances,
+                        svc,
+                        &instance,
+                    );
+                }
+                _ => {}
+            }
+        }
+    }
+
     /// Distinct services resident on `server`, ascending.
     fn residents_on(&self, server: ServerId) -> &[ServiceId] {
-        let s = server.index();
-        if s + 1 >= self.resident_starts.len() {
-            return &[];
-        }
-        &self.residents[self.resident_starts[s] as usize..self.resident_starts[s + 1] as usize]
+        group(&self.resident_starts, &self.residents, server.index())
     }
 
     /// Number of instances on `server` (the `instancesOnServer` fuzzy
     /// input) — equals `landscape.instance_count_on(server)`.
     pub fn instance_count_on(&self, server: ServerId) -> u32 {
-        self.instance_count
-            .get(server.index())
-            .copied()
-            .unwrap_or(0)
+        self.instances_on(server).len() as u32
     }
 
     /// Memory in use on `server`, MB — equals
@@ -267,22 +368,17 @@ impl HostIndex {
     /// Instance ids on `server`, ascending — equals
     /// `landscape.instances_on(server)` without the scan.
     pub fn instances_on(&self, server: ServerId) -> &[InstanceId] {
-        let s = server.index();
-        if s + 1 >= self.server_starts.len() {
-            return &[];
-        }
-        &self.server_instances[self.server_starts[s] as usize..self.server_starts[s + 1] as usize]
+        group(&self.server_starts, &self.server_instances, server.index())
     }
 
     /// Instance ids of `service`, ascending — equals
     /// `landscape.instances_of(service)` without the scan.
     pub fn instances_of(&self, service: ServiceId) -> &[InstanceId] {
-        let s = service.index();
-        if s + 1 >= self.service_starts.len() {
-            return &[];
-        }
-        &self.service_instances
-            [self.service_starts[s] as usize..self.service_starts[s + 1] as usize]
+        group(
+            &self.service_starts,
+            &self.service_instances,
+            service.index(),
+        )
     }
 
     /// Number of instances of `service` (the `instancesOfService` fuzzy
@@ -335,6 +431,37 @@ impl HostIndex {
             return false;
         }
         true
+    }
+}
+
+#[cfg(test)]
+impl HostIndex {
+    /// Assert that every array equals `built`'s (build scratch aside).
+    pub(crate) fn assert_same_arrays(&self, built: &HostIndex) {
+        assert_eq!(self.mem_used, built.mem_used, "mem_used");
+        assert_eq!(
+            self.exclusive_residents, built.exclusive_residents,
+            "exclusive_residents"
+        );
+        assert_eq!(self.server_starts, built.server_starts, "server_starts");
+        assert_eq!(
+            self.server_instances, built.server_instances,
+            "server_instances"
+        );
+        assert_eq!(
+            self.server_services, built.server_services,
+            "server_services"
+        );
+        assert_eq!(
+            self.resident_starts, built.resident_starts,
+            "resident_starts"
+        );
+        assert_eq!(self.residents, built.residents, "residents");
+        assert_eq!(self.service_starts, built.service_starts, "service_starts");
+        assert_eq!(
+            self.service_instances, built.service_instances,
+            "service_instances"
+        );
     }
 }
 

@@ -19,12 +19,13 @@
 //! placement check and `instancesOnServer`, the protection set is
 //! snapshotted once, and every feasible host is scored in **one**
 //! column-wise engine cycle ([`crate::ServerSelector::score_batch`] with
-//! [`ActionKind::Start`]). A restart therefore costs one index rebuild,
-//! O(instances + servers) — each restart of a failed server's instances
-//! follows a landscape write, so the memo is rebuilt, never reused stale —
-//! plus one batched engine cycle, instead of up to three instance-table
-//! scans and one scalar engine run per server. Its result is the
-//! exhaustive scalar scan's, under five rules:
+//! [`ActionKind::Start`]). The recovery's own stops and starts patch the
+//! memo in place, so a restart after one of them reuses it; after any
+//! other write (the failed host's availability change) the first restart
+//! rebuilds it, O(instances + servers). Either way a restart costs one
+//! batched engine cycle instead of up to three instance-table scans and
+//! one scalar engine run per server. Its result is the exhaustive scalar
+//! scan's, under five rules:
 //!
 //! 1. Servers are visited in ascending id; the first server that can host
 //!    the service is the *fallback*, even when it cannot be scored.
@@ -41,7 +42,7 @@
 use crate::controller::{gather_server_inputs, AutoGlobeController};
 use crate::inputs::{LoadView, ServerInputs};
 use crate::log::ControllerEvent;
-use autoglobe_landscape::{ActionKind, InstanceId, Landscape, ServerId, ServiceId};
+use autoglobe_landscape::{ActionKind, InstanceId, Landscape, LandscapeError, ServerId, ServiceId};
 use autoglobe_monitor::{FailureEvent, FailureKind, SimTime, TriggerKind};
 
 /// The outcome of handling one failure.
@@ -100,13 +101,17 @@ impl AutoGlobeController {
         let service = instance.service;
         let old_host = instance.server;
         // The crash already terminated the process; reflect that first.
-        let _ = landscape.stop_instance(crashed);
+        let _ = self.mutate(
+            landscape,
+            |l| l.stop_instance(crashed),
+            |_, _| Some((crashed, service, Some(old_host), None)),
+        );
 
         let target = self.restart_target(service, old_host, landscape, loads, now);
         match target {
             Some(host) => {
-                let new_instance = landscape
-                    .start_instance(service, host)
+                let new_instance = self
+                    .start_instance(service, host, landscape)
                     .expect("restart target was validated");
                 let e = ControllerEvent::Recovered {
                     time: now,
@@ -148,10 +153,10 @@ impl AutoGlobeController {
     /// The best feasible host for restarting an instance of `service`, or
     /// `None` only when no server can take it at all.
     ///
-    /// Cost: one [`crate::HostIndex`] rebuild when the landscape moved since
-    /// the controller last used it (O(instances + servers)), one O(servers)
-    /// pass of constant-time placement checks, and one batched engine cycle
-    /// over the feasible hosts. The rules, as in the [module docs](self):
+    /// Cost: one [`crate::HostIndex`] rebuild when the memo is stale
+    /// (O(instances + servers)), one O(servers) pass of constant-time
+    /// placement checks, and one batched engine cycle over the feasible
+    /// hosts. The rules, as in the [module docs](self):
     ///
     /// - hosts are visited in ascending id, and the first feasible one is
     ///   the fallback even when it cannot be scored;
@@ -228,7 +233,7 @@ impl AutoGlobeController {
         now: SimTime,
     ) -> Option<(InstanceId, ServerId)> {
         let host = self.best_restart_host(service, landscape, loads, now)?;
-        let new_instance = landscape.start_instance(service, host).ok()?;
+        let new_instance = self.start_instance(service, host, landscape).ok()?;
         let e = ControllerEvent::Recovered {
             time: now,
             service,
@@ -238,6 +243,20 @@ impl AutoGlobeController {
         };
         self.push_log(e);
         Some((new_instance, host))
+    }
+
+    /// Start an instance of `service` on `host` through [`Self::mutate`].
+    fn start_instance(
+        &mut self,
+        service: ServiceId,
+        host: ServerId,
+        landscape: &mut Landscape,
+    ) -> Result<InstanceId, LandscapeError> {
+        self.mutate(
+            landscape,
+            |l| l.start_instance(service, host),
+            |&id, _| Some((id, service, None, Some(host))),
+        )
     }
 
     /// Log that a previously failed host finished its repair and rejoined

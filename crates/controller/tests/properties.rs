@@ -326,10 +326,12 @@ fn batched_rankings_match_the_exhaustive_oracle_on_synth_landscapes() {
     // same hosts, same order, same score bits — for every action kind:
     // with the cache cold (flushed before the ranking), and warm (a
     // controller that never flushes) as a tick would see it — a repeat
-    // served by the verdict layer, a third of the servers' loads moved
-    // under an unchanged revision, and a revision bump that leaves only the
-    // pattern memo. Loads sit on a 0.05 grid so servers of one tier share
-    // input patterns and score ties.
+    // served by the verdicts, a third of the servers' loads moved, and
+    // real allocation changes between warm rankings: an instance started
+    // on the best ranked host, stopped again, and the service's first
+    // instance moved there. Verdicts outlive those changes, so the
+    // rankings after them must be exact and still hit. Loads sit on a 0.05
+    // grid so servers of one tier share input patterns and score ties.
     check::cases(4, |rng| {
         let servers = rng.random_int(20..=140) as usize;
         let mut landscape = generate(&SynthConfig::sized(servers, rng.next_u64())).landscape;
@@ -348,10 +350,10 @@ fn batched_rankings_match_the_exhaustive_oracle_on_synth_landscapes() {
         for server in landscape.server_ids().step_by(3) {
             moved.set(Subject::Server(server), grid(), grid());
         }
-        let first = landscape.server_ids().next().expect("a server");
         let now = SimTime::from_hours(9);
         let mut cold = AutoGlobeController::new();
         let mut warm = AutoGlobeController::new();
+        let mut hits_after_changes = 0;
         let services: Vec<_> = landscape.service_ids().collect();
         for kind in ActionKind::ALL {
             for &service in &services {
@@ -362,33 +364,57 @@ fn batched_rankings_match_the_exhaustive_oracle_on_synth_landscapes() {
                 let rank = |c: &mut AutoGlobeController, l: &Landscape, loads: &TableLoads| {
                     c.rank_hosts_indexed(kind, service, instance, l, loads, now)
                 };
-                let expected =
-                    cold.rank_hosts_exhaustive(kind, service, instance, &landscape, &loads, now);
-                let expected_moved =
-                    cold.rank_hosts_exhaustive(kind, service, instance, &landscape, &moved, now);
+                let oracle = |c: &mut AutoGlobeController, l: &Landscape, loads: &TableLoads| {
+                    c.rank_hosts_exhaustive(kind, service, instance, l, loads, now)
+                };
+                let expected = oracle(&mut cold, &landscape, &loads);
+                let expected_moved = oracle(&mut cold, &landscape, &moved);
                 cold.clear_score_cache();
                 let mut variants = vec![
-                    ("cold", rank(&mut cold, &landscape, &loads), &expected),
-                    ("warm", rank(&mut warm, &landscape, &loads), &expected),
+                    (
+                        "cold",
+                        rank(&mut cold, &landscape, &loads),
+                        expected.clone(),
+                    ),
+                    (
+                        "warm",
+                        rank(&mut warm, &landscape, &loads),
+                        expected.clone(),
+                    ),
                     (
                         "warm repeat",
                         rank(&mut warm, &landscape, &loads),
-                        &expected,
+                        expected.clone(),
                     ),
                     (
                         "warm, loads moved",
                         rank(&mut warm, &landscape, &moved),
-                        &expected_moved,
+                        expected_moved,
                     ),
                 ];
-                // An allocation-neutral write: the revision moves, so the
-                // verdict layer flushes while the pattern memo survives.
-                landscape.set_available(first, true).unwrap();
-                variants.push((
-                    "warm after a revision bump",
-                    rank(&mut warm, &landscape, &loads),
-                    &expected,
-                ));
+                if let Some(&(host, _)) = expected.first() {
+                    let hits = warm.score_cache_stats().incremental_hits;
+                    let started = landscape.start_instance(service, host).unwrap();
+                    variants.push((
+                        "warm after a start",
+                        rank(&mut warm, &landscape, &loads),
+                        oracle(&mut cold, &landscape, &loads),
+                    ));
+                    landscape.stop_instance(started).unwrap();
+                    variants.push((
+                        "warm after a stop",
+                        rank(&mut warm, &landscape, &loads),
+                        oracle(&mut cold, &landscape, &loads),
+                    ));
+                    let first = landscape.instances_of(service)[0];
+                    landscape.move_instance(first, host).unwrap();
+                    variants.push((
+                        "warm after a move",
+                        rank(&mut warm, &landscape, &loads),
+                        oracle(&mut cold, &landscape, &loads),
+                    ));
+                    hits_after_changes += warm.score_cache_stats().incremental_hits - hits;
+                }
                 for (label, ranked, expected) in &variants {
                     assert_eq!(
                         bits(ranked),
@@ -398,11 +424,12 @@ fn batched_rankings_match_the_exhaustive_oracle_on_synth_landscapes() {
                 }
             }
         }
-        let stats = warm.score_cache_stats();
         assert!(
-            stats.pattern_hits > 0 && stats.incremental_hits > 0,
-            "the warm rankings must be served from both cache layers: {stats:?}"
+            hits_after_changes > 0,
+            "verdicts must answer the rankings after an allocation change"
         );
+        let stats = warm.score_cache_stats();
+        assert_eq!((stats.pattern_hits, stats.clears), (0, 0), "{stats:?}");
     });
 }
 

@@ -97,8 +97,8 @@ pub struct Landscape {
     next_ip: u32,
     /// Bumped on every successful mutation (registration, availability,
     /// instance start/stop/move, priority change). Callers that cache
-    /// decisions derived from the landscape — e.g. the controller's
-    /// fuzzy-score caches — compare revisions to know when to invalidate.
+    /// state derived from the landscape — e.g. the controller's host-index
+    /// memo — compare revisions to know when to invalidate.
     revision: u64,
 }
 
