@@ -213,12 +213,16 @@ impl RunBuilder {
     }
 
     /// Build a [`SupervisedRun`] — the ideal-conditions harness (reliable
-    /// hosts, optional async execution and proactive triggering).
+    /// hosts, optional async execution and proactive triggering) that the
+    /// paper's figures and Table 7 run through.
     ///
     /// # Panics
     /// Panics when the scenario schedules infrastructure events (kills or
-    /// drains): those need a failure-capable harness — use
-    /// [`RunBuilder::chaos_run`] or [`RunBuilder::sharded`].
+    /// drains), and when failure injection or heartbeat detection is
+    /// configured ([`RunBuilder::chaos`], [`RunBuilder::heartbeats`]): all
+    /// of those need a failure-capable harness — use
+    /// [`RunBuilder::chaos_run`] (events also run on
+    /// [`RunBuilder::sharded`]).
     pub fn supervised(mut self) -> SupervisedRun {
         self.check_scenario();
         assert!(
@@ -226,6 +230,11 @@ impl RunBuilder {
             "scenario '{}' schedules infrastructure events; \
              drive it with .chaos_run() or .sharded()",
             self.spec.name
+        );
+        assert!(
+            self.sim.failures.is_none() && self.sim.heartbeats.is_none(),
+            "the supervised run has reliable hosts; drive failure injection \
+             and heartbeat detection with .chaos_run()"
         );
         let supervisor = self.effective_supervisor();
         let env = Self::take_env(&mut self.env, &self.spec);

@@ -1,16 +1,15 @@
 //! Driving the paper's simulated SAP workload through the [`Supervisor`].
 //!
-//! The simulator crate's `Simulation` drives the controller directly to
-//! regenerate the paper's figures — but the evaluation loop an *integrator*
-//! cares about is the one behind the production API. [`SupervisedRun`]
-//! closes that gap: it advances the simulator's [`WorkloadEngine`] (daily
-//! curves, sticky sessions, the
+//! [`SupervisedRun`] is the repository's run loop for ideal conditions,
+//! and the paper's figures and Table 7 run through it: it advances the
+//! simulator's [`WorkloadEngine`] (daily curves, sticky sessions, the
 //! request-flow demand model) against the Supervisor's landscape, feeds the
 //! resulting measurements through [`Supervisor::record_server`] /
 //! `record_service` / `record_instance`, lets [`Supervisor::tick`] watch →
 //! confirm → decide → act, and mirrors every completed action back into the
 //! session tables — the same beat/tick/poll control plane a real deployment
 //! drives, measured with the same [`Metrics`] the paper's figures use.
+//! [`ChaosRun`] is the same loop under ground-truth failures.
 
 use crate::supervisor::{Supervisor, SupervisorConfig};
 use autoglobe_controller::{ControllerEvent, ExecutionEvent};
@@ -19,7 +18,8 @@ use autoglobe_monitor::{HeartbeatEvent, SimDuration, SimTime, Subject};
 use autoglobe_rng::{splitmix64, Rng};
 use autoglobe_simulator::sap::SapEnvironment;
 use autoglobe_simulator::{
-    FailureInjection, LoadModulation, Metrics, ScenarioSchedule, SimConfig, WorkloadEngine,
+    FailureInjection, LoadModulation, Metrics, ScenarioSchedule, SimConfig, TickLoads,
+    WorkloadEngine,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -151,6 +151,12 @@ impl SupervisedRun {
         &self.metrics
     }
 
+    /// The loads the workload engine computed in the last step (empty
+    /// before the first) — what the figure runs sample their series from.
+    pub fn last_loads(&self) -> &TickLoads {
+        self.engine.last_loads()
+    }
+
     /// Advance one tick: workload model → measurements → supervisor tick →
     /// mirror completed actions into the session tables.
     pub fn step(&mut self) {
@@ -197,15 +203,21 @@ impl SupervisedRun {
         }
     }
 
-    /// Run to completion and return the metrics (proactive firings are
-    /// folded into [`Metrics::proactive_triggers`] and
-    /// [`Metrics::proactive_lead_secs`]).
+    /// Run to completion and return the metrics (see
+    /// [`SupervisedRun::finish`]).
     pub fn run(mut self) -> Metrics {
         let ticks = self.duration.as_secs() / self.tick.as_secs().max(1);
         for _ in 0..ticks {
             self.step();
         }
-        self.metrics.duration = self.duration;
+        self.finish()
+    }
+
+    /// End a run stepped by hand and return its metrics: the duration is
+    /// the simulated time stepped, and proactive firings are folded into
+    /// [`Metrics::proactive_triggers`] and [`Metrics::proactive_lead_secs`].
+    pub fn finish(mut self) -> Metrics {
+        self.metrics.duration = self.time.since(SimTime::ZERO);
         self.metrics.proactive_triggers = self.supervisor.proactive_firings().len();
         self.metrics.proactive_lead_secs = self
             .supervisor
@@ -785,32 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn reliable_execution_reproduces_the_synchronous_simulation() {
-        // The supervisor's plan → dispatch → poll pipeline on a reliable
-        // executor takes exactly the actions the simulator's synchronous
-        // handle_trigger loop takes on the same workload and seed. The
-        // window stops at 8 h: at 08:44 the two loops' load views first
-        // yield a different applicability (ROADMAP, "One run loop").
-        use autoglobe_simulator::{build_environment, Simulation};
-        let sync =
-            Simulation::new(build_environment(Scenario::ConstrainedMobility), config(8)).run();
-        let supervised = RunBuilder::new(Scenario::ConstrainedMobility)
-            .sim(config(8))
-            .supervised()
-            .run();
-        assert!(!sync.actions.is_empty(), "the 8h window must act");
-        assert_eq!(sync.actions, supervised.actions);
-        assert_eq!(sync.overload_secs, supervised.overload_secs);
-        assert_eq!(
-            sync.total_demand.to_bits(),
-            supervised.total_demand.to_bits()
-        );
-        assert_eq!(supervised.exec_retries, 0);
-        assert_eq!(supervised.exec_timeouts, 0);
-        assert_eq!(supervised.exec_compensations, 0);
-    }
-
-    #[test]
     fn chaos_run_detects_and_recovers_from_injected_failures() {
         let metrics = RunBuilder::new(Scenario::ConstrainedMobility)
             .sim(chaos_config(24))
@@ -1010,6 +996,43 @@ mod tests {
         let sequential = run(1);
         assert!(sequential.failures > 0, "chaos must have injected failures");
         assert_eq!(format!("{sequential:?}"), format!("{:?}", run(4)));
+    }
+
+    /// Section 4.1: the controller reads a server's CPU load as the mean
+    /// over its watch time. After every step, the supervisor's view of
+    /// every server equals the engine's smoothed load bit for bit — on the
+    /// three paper scenarios and on a 200-server synthetic landscape whose
+    /// per-server phase runs in lanes.
+    #[test]
+    fn supervisor_load_view_is_the_engines_watch_time_mean() {
+        use autoglobe_landscape::SynthConfig;
+        use autoglobe_simulator::synth_environment;
+        let synth = RunBuilder::new(Scenario::ConstrainedMobility)
+            .environment(synth_environment(&SynthConfig::sized(200, 11)))
+            .multiplier(1.0)
+            .inner_jobs(4);
+        let paper = Scenario::ALL.map(|scenario| RunBuilder::new(scenario).seed(11));
+        let mut actions = 0;
+        for builder in paper.into_iter().chain([synth]) {
+            let mut run = builder.hours(24).supervised();
+            for _ in 0..24 * 60 {
+                run.step();
+                let (loads, view) = (run.last_loads(), run.supervisor().load_view());
+                for (server, _, _) in loads.server_entries() {
+                    assert_eq!(
+                        view.cpu(Subject::Server(server)).to_bits(),
+                        loads.server_smoothed(server).to_bits(),
+                        "{server} at {}",
+                        run.now()
+                    );
+                }
+            }
+            actions += run.metrics().actions.len();
+        }
+        assert!(
+            actions > 0,
+            "the views must follow the controller's actions"
+        );
     }
 
     #[test]

@@ -82,6 +82,8 @@ pub use autoglobe_simulator as simulator;
 pub mod builder;
 pub mod harness;
 pub mod sharded;
+#[cfg(test)]
+mod sim;
 pub mod supervisor;
 
 pub use builder::RunBuilder;
@@ -120,7 +122,6 @@ pub mod prelude {
     };
     pub use autoglobe_simulator::{
         build_environment, find_max_users, CapacityCriterion, Combinator, FailureInjection,
-        HeartbeatDetection, Metrics, Scenario, ScenarioSpec, SimConfig, Simulation, TickLoads,
-        WorkloadEngine,
+        HeartbeatDetection, Metrics, Scenario, ScenarioSpec, SimConfig, TickLoads, WorkloadEngine,
     };
 }

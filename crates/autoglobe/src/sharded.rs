@@ -10,7 +10,9 @@
 //! landscape, and every landscape mutation — each [`ActionRecord`] an owner
 //! executes, each confirmed failure — is replayed onto the other replicas
 //! ([`Supervisor::apply_remote`], [`Supervisor::replay_failure`]) in one
-//! global ascending-live-replica order, keeping them in lockstep.
+//! global order — settled actions by ascending live replica, confirmed
+//! failures by ascending subject, as a single supervisor recovers them —
+//! keeping them in lockstep.
 //!
 //! The *measurement* stream is replicated by delta: each replica ingests
 //! only the measurements of subjects in its **owned** shards, so its load
@@ -695,12 +697,17 @@ impl ShardedControlPlane {
         }
     }
 
-    /// Phases 3/4, the sequential interval close in ascending replica
-    /// order: close replica i's monitoring interval (which settles its
-    /// earlier dispatches and runs its heartbeat self-healing), then
-    /// immediately replicate those mutations — settled actions via
-    /// `apply_remote`, confirmed failures via `replay_failure` — to every
-    /// other live replica before the next replica closes its own interval.
+    /// Phases 3/4, the sequential interval close. First, in ascending
+    /// replica order, each live replica settles its earlier dispatches and
+    /// evaluates its heartbeats; its settled actions are replicated to
+    /// every other live replica before the next replica settles. Then the
+    /// failures all replicas confirmed are recovered in ascending subject
+    /// order — the subject's owner runs the self-healing path, every other
+    /// live replica replays it — which is the order a single supervisor
+    /// recovers in, so concurrent failures in different shards restart
+    /// onto the same hosts at any shard count. Last, every replica runs
+    /// its proactive checks and hands over its confirmed triggers.
+    ///
     /// The strict order matters for more than tidiness: landscape mutations
     /// allocate instance ids sequentially, so all replicas must apply the
     /// same tick's mutations in one global order. Were each owner to close
@@ -710,31 +717,44 @@ impl ShardedControlPlane {
     /// live replicas, ascending.
     fn close_intervals(&mut self, now: SimTime, report: &mut PlaneTickReport) -> Vec<usize> {
         let live = self.live();
+        let mut confirmed: Vec<(Subject, SimTime, usize)> = Vec::new();
         for &i in &live {
-            let (completed, triggers) = self.workers[i]
+            let (completed, failures) = self.workers[i]
                 .supervisor
-                .tick_collect(now)
+                .open_interval(now)
                 .expect("the plane clock is monotonic");
-            self.workers[i].scratch_triggers = triggers;
             for record in completed {
                 self.replicate(&record, i);
                 report.executed.push(record);
             }
             let events = self.workers[i].supervisor.drain_events();
             self.controller_events.extend(events);
-            // Replay owner-confirmed subject failures on the other replicas
-            // (deterministic recovery over identical state), draining and
-            // discarding the replicas' duplicate event copies.
-            for rec in self.workers[i].supervisor.drain_recoveries() {
-                for &j in &live {
-                    if j != i {
-                        self.workers[j]
-                            .supervisor
-                            .replay_failure(rec.subject, rec.time);
-                        self.workers[j].supervisor.drain_recoveries();
-                        self.workers[j].supervisor.drain_events();
-                    }
+            confirmed.extend(
+                failures
+                    .into_iter()
+                    .map(|(subject, time)| (subject, time, i)),
+            );
+        }
+        // Only a subject's owner watches it, so no subject is confirmed
+        // twice; the sort is stable either way.
+        confirmed.sort_by_key(|&(subject, ..)| subject);
+        for (subject, time, owner) in confirmed {
+            self.workers[owner]
+                .supervisor
+                .recover_confirmed(subject, time, now);
+            let events = self.workers[owner].supervisor.drain_events();
+            self.controller_events.extend(events);
+            // Replay on the other replicas (deterministic recovery over
+            // identical state), draining and discarding their duplicate
+            // event copies.
+            for &j in &live {
+                if j != owner {
+                    self.workers[j].supervisor.replay_failure(subject, time);
+                    self.workers[j].supervisor.drain_recoveries();
+                    self.workers[j].supervisor.drain_events();
                 }
+            }
+            for rec in self.workers[owner].supervisor.drain_recoveries() {
                 if let Some(shard) = self.shard_of_subject(rec.subject) {
                     self.deltas[shard]
                         .recoveries
@@ -742,6 +762,9 @@ impl ShardedControlPlane {
                 }
                 report.recoveries.push(rec);
             }
+        }
+        for &i in &live {
+            self.workers[i].scratch_triggers = self.workers[i].supervisor.finish_interval(now);
         }
         live
     }
@@ -1026,7 +1049,7 @@ impl ShardedControlPlane {
         }
     }
 
-    /// Apply one shard delta's loads to `replica`'s latest-value view.
+    /// Apply one shard delta's loads to `replica`'s load view.
     fn apply_delta_loads(&mut self, shard: ShardId, replica: usize) {
         let Self {
             ref deltas,
@@ -2082,6 +2105,65 @@ mod tests {
             live.remove(0);
         }
         assert!(!plane.kill(live[0]), "the last live supervisor is immortal");
+    }
+
+    /// Two servers in different shards fall silent in the same tick. A
+    /// single supervisor recovers them in ascending subject order; so must
+    /// a two-shard plane, although the replica owning the lower server
+    /// closes its interval second — the restarts land on the same hosts
+    /// under the same instance ids at either shard count.
+    #[test]
+    fn concurrent_failures_in_two_shards_recover_in_subject_order() {
+        let mut landscape = Landscape::new();
+        let servers: Vec<ServerId> = (0..8)
+            .map(|i| {
+                landscape
+                    .add_server(ServerSpec::fsc_bx300(format!("srv{i}")))
+                    .unwrap()
+            })
+            .collect();
+        let map = ShardMap::new(&landscape, 2);
+        let low = *servers.iter().find(|&&s| map.shard_of(s) == 1).unwrap();
+        let high = *servers
+            .iter()
+            .find(|&&s| s > low && map.shard_of(s) == 0)
+            .expect("a later server in shard 0");
+        for (name, host) in [("FI", low), ("HR", high)] {
+            let service = landscape
+                .add_service(ServiceSpec::new(name, ServiceKind::ApplicationServer))
+                .unwrap();
+            landscape.start_instance(service, host).unwrap();
+        }
+        let run = |shards: usize| {
+            let mut plane =
+                ShardedControlPlane::new(landscape.clone(), shards, SupervisorConfig::default());
+            let mut recovered = Vec::new();
+            for minute in 1..=10 {
+                let t = SimTime::from_minutes(minute);
+                for &s in &servers {
+                    if minute <= 2 || (s != low && s != high) {
+                        plane.beat(Subject::Server(s), t);
+                    }
+                }
+                let report = plane.tick(t).unwrap();
+                recovered.extend(report.recoveries.iter().map(|r| (r.subject, r.time)));
+            }
+            for i in 1..shards {
+                assert_eq!(
+                    landscape_digest(plane.supervisor(0).landscape()),
+                    landscape_digest(plane.supervisor(i).landscape()),
+                    "replica {i} diverged"
+                );
+            }
+            (recovered, landscape_digest(plane.landscape()))
+        };
+        let (one_order, one) = run(1);
+        let (two_order, two) = run(2);
+        let subjects: Vec<Subject> = two_order.iter().map(|&(s, _)| s).collect();
+        assert_eq!(subjects, [Subject::Server(low), Subject::Server(high)]);
+        assert_eq!(two_order[0].1, two_order[1].1, "confirmed in one tick");
+        assert_eq!(one_order, two_order);
+        assert_eq!(one, two);
     }
 
     #[test]

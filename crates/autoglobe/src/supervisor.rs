@@ -33,27 +33,38 @@ use autoglobe_landscape::{
 };
 use autoglobe_monitor::{
     Advisor, FailureEvent, FailureKind, HeartbeatConfig, HeartbeatEvent, HeartbeatMonitor,
-    LoadArchive, LoadMonitoringSystem, LoadSample, SimDuration, SimTime, Subject, SubjectConfig,
-    TriggerEvent,
+    LoadArchive, LoadMonitoringSystem, LoadSample, MeanWindow, SimDuration, SimTime, Subject,
+    SubjectConfig, TriggerEvent,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Latest-value load view fed by the supervisor's recorded measurements.
+/// The load view fed by the supervisor's recorded measurements: for a
+/// server, the watch-time mean of its last
+/// [`WATCH_MEAN_SAMPLES`](autoglobe_monitor::WATCH_MEAN_SAMPLES) CPU
+/// samples (Section 4.1: the controller's inputs are "set to the arithmetic
+/// means of the load values during the service specific watchTime") and its
+/// latest memory load; for services and instances, the latest values.
 ///
 /// Stored as dense per-kind arenas indexed by the raw id (ids are dense in
 /// this system), with presence flags distinguishing "never recorded /
-/// pruned" from a recorded 0.0 — the per-tick record path writes three
-/// array slots instead of rebalancing two `BTreeMap`s per measurement.
+/// pruned" from a recorded 0.0 — a measurement is a few stores into one
+/// slot, and the mean is computed when it is read.
 #[derive(Debug, Clone, Default)]
 struct RecordedLoads {
-    server_cpu: Vec<f64>,
-    server_mem: Vec<f64>,
-    server_set: Vec<bool>,
+    servers: Vec<ServerLoads>,
     service_cpu: Vec<f64>,
     service_set: Vec<bool>,
     instance_cpu: Vec<f64>,
     instance_mem: Vec<f64>,
     instance_set: Vec<bool>,
+}
+
+/// One server's slot of [`RecordedLoads`].
+#[derive(Debug, Clone, Default)]
+struct ServerLoads {
+    cpu: MeanWindow,
+    mem: f64,
+    set: bool,
 }
 
 /// Grow a dense lane so `idx` is addressable.
@@ -64,17 +75,16 @@ fn grow_to<T: Clone + Default>(lane: &mut Vec<T>, idx: usize) {
 }
 
 impl RecordedLoads {
-    /// Record the latest measurement for `subject`.
+    /// Record a measurement for `subject`.
     fn set(&mut self, subject: Subject, cpu: f64, mem: f64) {
         match subject {
             Subject::Server(id) => {
                 let idx = id.index();
-                grow_to(&mut self.server_cpu, idx);
-                grow_to(&mut self.server_mem, idx);
-                grow_to(&mut self.server_set, idx);
-                self.server_cpu[idx] = cpu;
-                self.server_mem[idx] = mem;
-                self.server_set[idx] = true;
+                grow_to(&mut self.servers, idx);
+                let server = &mut self.servers[idx];
+                server.cpu.push(cpu);
+                server.mem = mem;
+                server.set = true;
             }
             Subject::Service(id) => {
                 let idx = id.index();
@@ -98,7 +108,12 @@ impl RecordedLoads {
     /// Forget `subject` (it departed the landscape).
     fn remove(&mut self, subject: Subject) {
         let (lane, idx) = match subject {
-            Subject::Server(id) => (&mut self.server_set, id.index()),
+            Subject::Server(id) => {
+                if let Some(server) = self.servers.get_mut(id.index()) {
+                    *server = ServerLoads::default();
+                }
+                return;
+            }
             Subject::Service(id) => (&mut self.service_set, id.index()),
             Subject::Instance(id) => (&mut self.instance_set, id.index()),
         };
@@ -112,10 +127,10 @@ impl RecordedLoads {
     /// old map-backed storage.
     fn subjects(&self) -> impl Iterator<Item = Subject> + '_ {
         let servers = self
-            .server_set
+            .servers
             .iter()
             .enumerate()
-            .filter(|(_, &set)| set)
+            .filter(|(_, server)| server.set)
             .map(|(i, _)| Subject::Server(ServerId::new(i as u32)));
         let services = self
             .service_set
@@ -131,12 +146,16 @@ impl RecordedLoads {
             .map(|(i, _)| Subject::Instance(InstanceId::new(i as u32)));
         servers.chain(services).chain(instances)
     }
+
+    fn server(&self, id: ServerId) -> Option<&ServerLoads> {
+        self.servers.get(id.index()).filter(|server| server.set)
+    }
 }
 
 impl LoadView for RecordedLoads {
     fn cpu(&self, subject: Subject) -> f64 {
         let (set, cpu, idx) = match subject {
-            Subject::Server(id) => (&self.server_set, &self.server_cpu, id.index()),
+            Subject::Server(id) => return self.server(id).map_or(0.0, |s| s.cpu.mean()),
             Subject::Service(id) => (&self.service_set, &self.service_cpu, id.index()),
             Subject::Instance(id) => (&self.instance_set, &self.instance_cpu, id.index()),
         };
@@ -148,7 +167,7 @@ impl LoadView for RecordedLoads {
     }
     fn mem(&self, subject: Subject) -> f64 {
         let (set, mem, idx) = match subject {
-            Subject::Server(id) => (&self.server_set, &self.server_mem, id.index()),
+            Subject::Server(id) => return self.server(id).map_or(0.0, |s| s.mem),
             Subject::Service(_) => return 0.0,
             Subject::Instance(id) => (&self.instance_set, &self.instance_mem, id.index()),
         };
@@ -165,9 +184,11 @@ impl LoadView for RecordedLoads {
 /// controller can plan against the *predicted* situation rather than the
 /// still-calm present.
 ///
-/// Public so a sharded control plane can take a supervisor's confirmed
-/// triggers ([`Supervisor::tick_collect`]) and broker dispatch through the
-/// lease table instead of letting each supervisor act unilaterally.
+/// Public so a caller can take a supervisor's confirmed triggers
+/// ([`Supervisor::tick_collect`]) and dispatch them one at a time
+/// ([`Supervisor::dispatch_trigger`]) — the sharded control plane brokers
+/// each one through its lease table instead of letting each supervisor act
+/// unilaterally.
 #[derive(Debug, Clone)]
 pub struct PendingTrigger {
     /// The confirmed trigger.
@@ -256,6 +277,10 @@ impl LoadView for ForecastView<'_> {
         self.inner.mem(subject)
     }
 }
+
+/// Heartbeat-confirmed failures of one interval: `(subject, confirmed
+/// at)`, ascending by subject.
+type ConfirmedFailures = Vec<(Subject, SimTime)>;
 
 /// A rejected call into the [`Supervisor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -372,7 +397,7 @@ impl Default for SupervisorConfig {
 
 /// Owner-scoped ingestion: the shards this replica runs monitoring and
 /// archive state for. Subjects outside the scope only update the
-/// replicated latest-value load view ([`Supervisor::apply_remote_load`]).
+/// replicated load view ([`Supervisor::apply_remote_load`]).
 #[derive(Debug, Clone)]
 struct MonitorScope {
     map: ShardMap,
@@ -482,8 +507,8 @@ impl Supervisor {
         &self.landscape
     }
 
-    /// The latest-value loads planning reads (the sharded plane's
-    /// replication tests compare replicas through it).
+    /// The loads planning reads (the sharded plane's replication tests
+    /// compare replicas through it).
     #[cfg(test)]
     pub(crate) fn load_view(&self) -> &dyn LoadView {
         &self.loads
@@ -494,10 +519,7 @@ impl Supervisor {
     pub(crate) fn load_lane_lens(&self) -> [usize; 3] {
         let l = &self.loads;
         [
-            l.server_cpu
-                .len()
-                .max(l.server_mem.len())
-                .max(l.server_set.len()),
+            l.servers.len(),
             l.service_cpu.len().max(l.service_set.len()),
             l.instance_cpu
                 .len()
@@ -618,39 +640,48 @@ impl Supervisor {
 
     /// Record a server measurement. A server index the landscape never
     /// issued (at or above [`Landscape::num_servers`]) is dropped before
-    /// it touches any state.
+    /// it touches any state, and so is a measurement whose cpu or mem is
+    /// not finite.
     pub fn record_server(&mut self, server: ServerId, time: SimTime, cpu: f64, mem: f64) {
         self.record(Subject::Server(server), time, cpu, mem);
     }
 
     /// Record a service (aggregate) measurement. A service index the
     /// landscape never issued (at or above [`Landscape::num_services`]) is
-    /// dropped before it touches any state.
+    /// dropped before it touches any state, and so is a non-finite cpu.
     pub fn record_service(&mut self, service: ServiceId, time: SimTime, cpu: f64) {
         self.record(Subject::Service(service), time, cpu, 0.0);
     }
 
     /// Record an instance measurement. An instance index the landscape
     /// never issued (at or above [`Landscape::instance_id_bound`]) is
-    /// dropped before it touches any state; a departed instance's is
-    /// handled as before.
+    /// dropped before it touches any state, and so is a non-finite cpu; a
+    /// departed instance's is handled as before.
     pub fn record_instance(&mut self, instance: InstanceId, time: SimTime, cpu: f64) {
         self.record(Subject::Instance(instance), time, cpu, 0.0);
     }
 
-    /// Whether the landscape ever issued `subject`'s id. The load view and
-    /// the archive keep dense lanes indexed by raw id, so a never-issued
-    /// id (say, one near `u32::MAX`) would grow them to its size.
-    fn issued(&self, subject: Subject) -> bool {
-        match subject {
+    /// Whether a measurement may touch any state: the landscape issued
+    /// `subject`'s id, and both loads are finite. The load view and the
+    /// archive keep dense lanes indexed by raw id, so a never-issued id
+    /// (say, one near `u32::MAX`) would grow them to its size; a NaN or
+    /// infinite load would sit in the server's watch window for its next
+    /// ten samples and cost the server every ranking in between.
+    fn admits(&self, subject: Subject, cpu: f64, mem: f64) -> bool {
+        let issued = match subject {
             Subject::Server(s) => s.index() < self.landscape.num_servers(),
             Subject::Service(s) => s.index() < self.landscape.num_services(),
             Subject::Instance(i) => i.index() < self.landscape.instance_id_bound() as usize,
-        }
+        };
+        issued && cpu.is_finite() && mem.is_finite()
     }
 
+    // Inlined into each `record_*`, so each one is compiled for its own
+    // subject kind: as one shared call per measurement, a paper-sized
+    // landscape's quiet interval read about 35 % slower.
+    #[inline(always)]
     fn record(&mut self, subject: Subject, time: SimTime, cpu: f64, mem: f64) {
-        if !self.issued(subject) {
+        if !self.admits(subject, cpu, mem) {
             return;
         }
         self.loads.set(subject, cpu, mem);
@@ -823,7 +854,7 @@ impl Supervisor {
     /// Restrict monitoring and archive ingestion to `owned` shards of
     /// `map` (delta replication's owner scope). Advisors for subjects
     /// outside the scope are unregistered; from here on, foreign
-    /// measurements flow only into the replicated latest-value load view
+    /// measurements flow only into the replicated load view
     /// (via [`Supervisor::apply_remote_load`] or a gated
     /// [`Supervisor::record_server`]-family call), never into
     /// monitoring or the archive. Call right after construction, before
@@ -888,14 +919,15 @@ impl Supervisor {
     }
 
     /// Apply a measurement another replica's owner ingested: update only
-    /// the replicated latest-value load view — the read-only planning
-    /// input for cross-shard candidate hosts — without touching
-    /// monitoring or archive state. This is the load section of a shard
-    /// delta, applied exactly where `apply_remote` applies the mutation
-    /// section. A subject whose id the landscape never issued is dropped,
-    /// as [`Supervisor::record_server`] drops it.
+    /// the replicated load view — the read-only planning input for
+    /// cross-shard candidate hosts, server watch windows included —
+    /// without touching monitoring or archive state. This is the load
+    /// section of a shard delta, applied exactly where `apply_remote`
+    /// applies the mutation section. A subject whose id the landscape
+    /// never issued, or a non-finite load, is dropped, as
+    /// [`Supervisor::record_server`] drops it.
     pub fn apply_remote_load(&mut self, subject: Subject, cpu: f64, mem: f64) {
-        if self.issued(subject) {
+        if self.admits(subject, cpu, mem) {
             self.loads.set(subject, cpu, mem);
         }
     }
@@ -958,11 +990,10 @@ impl Supervisor {
     /// that completed this tick. Rejects a `now` earlier than
     /// already-processed time with [`SupervisorError::NonMonotonicTime`].
     pub fn tick(&mut self, now: SimTime) -> Result<Vec<ActionRecord>, SupervisorError> {
-        self.advance_clock(now)?;
-        let mut completed = self.prepare_interval(now);
+        let (mut completed, triggers) = self.tick_collect(now)?;
         // Proactive and reactive triggers flow through the same dispatch
         // path — protection mode treats them uniformly.
-        for trigger in std::mem::take(&mut self.pending_triggers) {
+        for trigger in triggers {
             completed.extend(self.dispatch_inner(trigger, now));
         }
         Ok(completed)
@@ -970,17 +1001,19 @@ impl Supervisor {
 
     /// The first half of [`Supervisor::tick`]: close the monitoring
     /// interval but *return* the confirmed triggers instead of dispatching
-    /// them. A sharded control plane uses this to merge the trigger
-    /// streams of all shards and broker each dispatch through the lease
-    /// table ([`Supervisor::dispatch_trigger`]); a standalone supervisor
-    /// has no reason to call it.
+    /// them (a harness that times each decision calls this, then
+    /// [`Supervisor::dispatch_trigger`] per trigger). Heartbeat-confirmed
+    /// failures are recovered in ascending subject order before the
+    /// proactive checks run.
     pub fn tick_collect(
         &mut self,
         now: SimTime,
     ) -> Result<(Vec<ActionRecord>, Vec<PendingTrigger>), SupervisorError> {
-        self.advance_clock(now)?;
-        let completed = self.prepare_interval(now);
-        Ok((completed, std::mem::take(&mut self.pending_triggers)))
+        let (completed, confirmed) = self.open_interval(now)?;
+        for (subject, time) in confirmed {
+            self.recover_confirmed(subject, time, now);
+        }
+        Ok((completed, self.finish_interval(now)))
     }
 
     /// The second half of [`Supervisor::tick`]: plan and dispatch one
@@ -996,10 +1029,18 @@ impl Supervisor {
         Ok(self.dispatch_inner(trigger, now))
     }
 
-    /// Register/prune subjects, settle earlier dispatches, evaluate
-    /// heartbeats and proactive checks — everything [`Supervisor::tick`]
-    /// does before dispatching this interval's triggers.
-    fn prepare_interval(&mut self, now: SimTime) -> Vec<ActionRecord> {
+    /// The first phase of an interval close: register/prune subjects,
+    /// settle earlier dispatches and evaluate heartbeats. Returns the
+    /// settled actions and the confirmed failures *without* recovering
+    /// them — a sharded plane recovers every replica's failures in one
+    /// global subject order ([`Supervisor::recover_confirmed`] on the
+    /// owner, [`Supervisor::replay_failure`] elsewhere) before any replica
+    /// runs its proactive checks ([`Supervisor::finish_interval`]).
+    pub(crate) fn open_interval(
+        &mut self,
+        now: SimTime,
+    ) -> Result<(Vec<ActionRecord>, ConfirmedFailures), SupervisorError> {
+        self.advance_clock(now)?;
         // Registration and pruning only have work to do when the landscape
         // (or the monitor scope) changed since the last pass; the revision
         // gate makes quiet intervals O(1) instead of a landscape walk.
@@ -1014,10 +1055,14 @@ impl Supervisor {
         // host is visible to this tick's planning.
         let completed = self.settle(now);
         self.executed.extend(completed.iter().cloned());
+        Ok((completed, self.run_heartbeats(now)))
+    }
 
-        self.run_heartbeats(now);
+    /// The last phase of an interval close: proactive checks, then hand
+    /// back this interval's confirmed triggers.
+    pub(crate) fn finish_interval(&mut self, now: SimTime) -> Vec<PendingTrigger> {
         self.run_proactive(now);
-        completed
+        std::mem::take(&mut self.pending_triggers)
     }
 
     /// Plan one confirmed trigger and (in automatic mode) dispatch it on
@@ -1127,36 +1172,45 @@ impl Supervisor {
         completed
     }
 
-    /// Evaluate the heartbeat watch set; confirmed failures flow into the
-    /// self-healing path exactly like reported ones.
-    fn run_heartbeats(&mut self, now: SimTime) {
+    /// Evaluate the heartbeat watch set and log its events; returns the
+    /// confirmed server and instance failures, ascending by subject.
+    /// Services have no single process to fail; their instances are
+    /// watched individually.
+    fn run_heartbeats(&mut self, now: SimTime) -> ConfirmedFailures {
         let events = self.heartbeats.tick(now);
-        for event in &events {
-            if let HeartbeatEvent::Confirmed { subject, time, .. } = event {
-                let kind = match *subject {
-                    Subject::Server(server) => Some(FailureKind::ServerFailed(server)),
-                    Subject::Instance(instance) => Some(FailureKind::InstanceCrashed(instance)),
-                    // Services have no single process to fail; their
-                    // instances are watched individually.
-                    Subject::Service(_) => None,
-                };
-                if let Some(kind) = kind {
-                    let failure = FailureEvent { kind, time: *time };
-                    let outcome = self.controller.handle_failure(
-                        &failure,
-                        &mut self.landscape,
-                        &self.loads,
-                        now,
-                    );
-                    self.recovery_log.push(RecoveryRecord {
-                        subject: *subject,
-                        time: *time,
-                        outcome,
-                    });
+        let confirmed = events
+            .iter()
+            .filter_map(|event| match *event {
+                HeartbeatEvent::Confirmed { subject, time, .. }
+                    if !matches!(subject, Subject::Service(_)) =>
+                {
+                    Some((subject, time))
                 }
-            }
-        }
+                _ => None,
+            })
+            .collect();
         self.heartbeat_log.extend(events);
+        confirmed
+    }
+
+    /// Run the self-healing path for a heartbeat-confirmed failure of a
+    /// server or instance exactly like a reported one, and log the outcome
+    /// for [`Supervisor::drain_recoveries`].
+    pub(crate) fn recover_confirmed(&mut self, subject: Subject, time: SimTime, now: SimTime) {
+        let kind = match subject {
+            Subject::Server(server) => FailureKind::ServerFailed(server),
+            Subject::Instance(instance) => FailureKind::InstanceCrashed(instance),
+            Subject::Service(_) => return,
+        };
+        let failure = FailureEvent { kind, time };
+        let outcome =
+            self.controller
+                .handle_failure(&failure, &mut self.landscape, &self.loads, now);
+        self.recovery_log.push(RecoveryRecord {
+            subject,
+            time,
+            outcome,
+        });
     }
 
     /// Run proactive forecast checks over the archive (when enabled and the
@@ -1434,6 +1488,61 @@ mod tests {
             clean.archive().subjects().collect::<Vec<_>>()
         );
         assert_eq!(fed.archive().bucket_count(), clean.archive().bucket_count());
+    }
+
+    #[test]
+    fn non_finite_measurements_are_dropped_before_any_state() {
+        // A NaN or ±∞ between finite samples would sit in the server's
+        // watch window for ten samples; it must leave the supervisor
+        // exactly as one never fed it.
+        let (mut fed, blade, big, fi, instance) = minimal();
+        let (mut clean, ..) = minimal();
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for minute in 1..=12 {
+            let t = SimTime::from_minutes(minute);
+            let cpu = 0.3 + 0.05 * minute as f64;
+            for sup in [&mut fed, &mut clean] {
+                sup.record_server(blade, t, cpu, 0.2);
+                sup.record_server(big, t, cpu / 2.0, 0.1);
+                sup.record_service(fi, t, cpu);
+                sup.record_instance(instance, t, cpu);
+            }
+            let x = bad[minute as usize % bad.len()];
+            fed.record_server(blade, t, x, 0.2);
+            fed.record_server(big, t, 0.5, x);
+            fed.record_service(fi, t, x);
+            fed.record_instance(instance, t, x);
+            fed.apply_remote_load(Subject::Server(blade), x, 0.2);
+            fed.apply_remote_load(Subject::Server(big), 0.5, x);
+            fed.apply_remote_load(Subject::Service(fi), x, 0.0);
+            fed.apply_remote_load(Subject::Instance(instance), x, 0.0);
+            for sup in [&mut fed, &mut clean] {
+                sup.tick(t).unwrap();
+            }
+        }
+        let subjects = [
+            Subject::Server(blade),
+            Subject::Server(big),
+            Subject::Service(fi),
+            Subject::Instance(instance),
+        ];
+        let (from, to) = (SimTime::ZERO, SimTime::from_minutes(13));
+        for subject in subjects {
+            let (a, b) = (fed.load_view(), clean.load_view());
+            assert!(a.cpu(subject).is_finite());
+            assert_eq!(a.cpu(subject).to_bits(), b.cpu(subject).to_bits());
+            assert_eq!(a.mem(subject).to_bits(), b.mem(subject).to_bits());
+            assert_eq!(
+                fed.archive().series(subject, from, to),
+                clean.archive().series(subject, from, to)
+            );
+            assert_eq!(
+                format!("{:?}", fed.advisor(subject)),
+                format!("{:?}", clean.advisor(subject))
+            );
+        }
+        assert_eq!(fed.archive().bucket_count(), clean.archive().bucket_count());
+        assert_eq!(fed.executed(), clean.executed());
     }
 
     #[test]

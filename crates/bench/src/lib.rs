@@ -21,16 +21,18 @@
 pub use autoglobe_pool as pool;
 
 use autoglobe::forecast::ProactiveConfig;
-use autoglobe::{RunBuilder, ShardChaos, ShardRecoveryStats};
+use autoglobe::{RunBuilder, ShardChaos, ShardRecoveryStats, SupervisedRun};
 use autoglobe_controller::{ControllerConfig, ExecutorConfig};
 use autoglobe_fuzzy::{Defuzzifier, Engine, EngineConfig, InferenceMethod, LinguisticVariable};
-use autoglobe_landscape::{ServerId, SynthConfig};
-use autoglobe_monitor::SimDuration;
+use autoglobe_landscape::{InstanceId, ServerId, SynthConfig};
+use autoglobe_monitor::{SimDuration, SimTime};
 use autoglobe_rng::splitmix64;
 use autoglobe_simulator::{
-    build_environment, find_max_users, sap, synth_environment, CapacityCriterion, DailyPattern,
-    FailureInjection, HeartbeatDetection, Metrics, Scenario, ScenarioSpec, SimConfig, Simulation,
+    build_environment, capacity_ladder, find_max_users, sap, synth_environment, CapacityCriterion,
+    DailyPattern, FailureInjection, HeartbeatDetection, InstancePoint, Metrics, Scenario,
+    ScenarioSpec, SeriesPoint, SimConfig,
 };
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Figure 3: membership grades of the `cpuLoad` linguistic variable as a
@@ -229,6 +231,13 @@ pub fn tables_5_6() -> String {
     out
 }
 
+/// How often the figure runs sample their load series: the paper's
+/// figures plot roughly 5-minute resolution over 80 h.
+const FIGURE_SAMPLE_EVERY: SimDuration = SimDuration::from_minutes(5);
+
+/// The service whose instance loads Figures 15–17 plot.
+const FIGURE_INSTANCES_OF: &str = "FI";
+
 /// One figure-12/13/14-style scenario run. Returns the metrics; use
 /// [`all_servers_csv`], [`fi_series_csv`] and [`action_log`] to render the
 /// figure data.
@@ -247,12 +256,79 @@ pub fn scenario_run_at(
     seed: u64,
     inner_jobs: usize,
 ) -> Metrics {
-    let env = build_environment(scenario);
-    let config = SimConfig::paper(scenario, multiplier)
+    let sim = SimConfig::paper(scenario, multiplier)
         .with_duration(SimDuration::from_hours(hours))
         .with_seed(seed)
         .with_inner_jobs(inner_jobs);
-    Simulation::new(env, config).run()
+    figure_run(
+        RunBuilder::new(scenario).sim(sim.clone()).supervised(),
+        &sim,
+    )
+}
+
+/// Step a supervised run through `sim`'s horizon and record the series the
+/// figures plot, every [`FIGURE_SAMPLE_EVERY`] from the first: each
+/// server's load, the landscape average, and the load of every
+/// [`FIGURE_INSTANCES_OF`] instance on the host it served the step from.
+fn figure_run(mut run: SupervisedRun, sim: &SimConfig) -> Metrics {
+    let plotted = run
+        .supervisor()
+        .landscape()
+        .service_by_name(FIGURE_INSTANCES_OF)
+        .ok();
+    let mut server_series: BTreeMap<ServerId, Vec<SeriesPoint>> = BTreeMap::new();
+    let mut average_series = Vec::new();
+    let mut instance_series: BTreeMap<InstanceId, Vec<InstancePoint>> = BTreeMap::new();
+    let mut last_sample = SimTime::ZERO;
+    for _ in 0..sim.num_ticks() {
+        let time = run.now() + sim.tick;
+        let sample = time.since(last_sample) >= FIGURE_SAMPLE_EVERY;
+        // The step's workload runs on the landscape as it stands before
+        // the step's own actions.
+        let mut hosts: Vec<(InstanceId, ServerId)> = Vec::new();
+        if let (true, Some(service)) = (sample, plotted) {
+            let landscape = run.supervisor().landscape();
+            for instance in landscape.instances_of(service) {
+                if let Ok(inst) = landscape.instance(instance) {
+                    hosts.push((instance, inst.server));
+                }
+            }
+        }
+        run.step();
+        if !sample {
+            continue;
+        }
+        last_sample = time;
+        let loads = run.last_loads();
+        for (server, value, _) in loads.server_entries() {
+            server_series
+                .entry(server)
+                .or_default()
+                .push(SeriesPoint { time, value });
+        }
+        average_series.push(SeriesPoint {
+            time,
+            value: loads.average_cpu,
+        });
+        for (instance, server) in hosts {
+            if let Some(value) = loads.instance_cpu_of(instance) {
+                instance_series
+                    .entry(instance)
+                    .or_default()
+                    .push(InstancePoint {
+                        time,
+                        server,
+                        value,
+                    });
+            }
+        }
+    }
+    Metrics {
+        server_series,
+        average_series,
+        instance_series,
+        ..run.finish()
+    }
 }
 
 /// Figures 12–14: CSV with one column per server plus the average —
@@ -336,52 +412,31 @@ fn resolve_names(line: &str, server_names: &[String], service_names: &[String]) 
 /// Table 7: the capacity sweep. Returns `(scenario, max percent)` rows.
 pub fn table7(hours: u64, seed: u64) -> Vec<(Scenario, f64)> {
     let criterion = CapacityCriterion::default();
+    let duration = SimDuration::from_hours(hours);
     Scenario::ALL
         .into_iter()
         .map(|scenario| {
-            let result = find_max_users(
-                scenario,
-                criterion,
-                0.05,
-                SimDuration::from_hours(hours),
-                seed,
-            );
+            let result = find_max_users(scenario, criterion, 0.05, |multiplier| {
+                capacity_probe(scenario, multiplier, duration, seed)
+            });
             (scenario, result.max_users_percent())
         })
         .collect()
 }
 
-/// The multiplier ladder the capacity sweep walks: the very same `+= step`
-/// accumulation [`find_max_users`] performs, so speculative probes land on
-/// bit-identical `f64` multipliers.
-fn capacity_ladder(step: f64) -> Vec<f64> {
-    let mut ladder = Vec::new();
-    let mut multiplier = 1.0;
-    loop {
-        ladder.push(multiplier);
-        multiplier += step;
-        if multiplier > 3.0 {
-            break;
-        }
-    }
-    ladder
-}
-
-/// One capacity probe — a pure function of its arguments (the simulation
-/// seeds its own RNG from `seed`), so probes may run on any thread in any
-/// order without changing the result.
-fn probe_overloaded(
+/// One capacity probe — a pure function of its arguments (the run seeds
+/// its own RNG from `seed`), so probes may run on any thread in any order
+/// without changing the result.
+fn capacity_probe(
     scenario: Scenario,
     multiplier: f64,
-    criterion: CapacityCriterion,
     duration: SimDuration,
     seed: u64,
-) -> bool {
-    let env = build_environment(scenario);
-    let config = SimConfig::paper(scenario, multiplier)
+) -> Metrics {
+    let sim = SimConfig::paper(scenario, multiplier)
         .with_duration(duration)
         .with_seed(seed);
-    criterion.overloaded(&Simulation::new(env, config).run())
+    RunBuilder::new(scenario).sim(sim).supervised().run()
 }
 
 /// Table 7 with a worker pool: fans independent capacity probes across the
@@ -397,7 +452,7 @@ pub fn table7_with_jobs(hours: u64, seed: u64, jobs: usize) -> Vec<(Scenario, f6
     }
     let criterion = CapacityCriterion::default();
     let duration = SimDuration::from_hours(hours);
-    let ladder = capacity_ladder(0.05);
+    let ladder: Vec<f64> = capacity_ladder(0.05).collect();
 
     /// The sequential sweep's state for one scenario, split into what has
     /// been *dispatched* (possibly speculatively, out of order) and what
@@ -451,14 +506,13 @@ pub fn table7_with_jobs(hours: u64, seed: u64, jobs: usize) -> Vec<(Scenario, f6
         }
 
         let results = pool::parallel_map(jobs, wave, |(scenario_index, ladder_index)| {
-            let overloaded = probe_overloaded(
+            let metrics = capacity_probe(
                 Scenario::ALL[scenario_index],
                 ladder[ladder_index],
-                criterion,
                 duration,
                 seed,
             );
-            (scenario_index, ladder_index, overloaded)
+            (scenario_index, ladder_index, criterion.overloaded(&metrics))
         });
         for (scenario_index, ladder_index, overloaded) in results {
             sweeps[scenario_index]
@@ -843,8 +897,8 @@ pub fn proactive_csv(rows: &[(bool, Metrics)]) -> String {
     out
 }
 
-/// Walk the Table 7 capacity ladder (the same `+= 0.05` accumulation as
-/// [`table7`]) through the supervised control plane for each mode: the
+/// Walk the Table 7 capacity ladder ([`capacity_ladder`], as [`table7`]
+/// does) through the supervised control plane for each mode: the
 /// highest user level reactive and proactive administration each sustain
 /// before the [`CapacityCriterion`] trips. Records whether a forecast head
 /// start raises the number of users the landscape can carry. The two modes
@@ -1074,14 +1128,16 @@ pub fn ablation_timing(hours: u64) -> Vec<(String, usize, u64)> {
         ("protect-30m", 30),
         ("protect-90m", 90),
     ] {
-        let env = build_environment(Scenario::FullMobility);
-        let mut config = SimConfig::paper(Scenario::FullMobility, 1.15)
+        let mut sim = SimConfig::paper(Scenario::FullMobility, 1.15)
             .with_duration(SimDuration::from_hours(hours));
-        config.controller = ControllerConfig {
+        sim.controller = ControllerConfig {
             protection_time: SimDuration::from_minutes(protection_minutes),
             ..ControllerConfig::default()
         };
-        let metrics = Simulation::new(env, config).run();
+        let metrics = RunBuilder::new(Scenario::FullMobility)
+            .sim(sim)
+            .supervised()
+            .run();
         rows.push((
             label.to_string(),
             metrics.actions.len(),
@@ -1108,12 +1164,15 @@ pub fn scale_environment(servers: usize, seed: u64) -> sap::SapEnvironment {
 /// float is rendered as exact bits, so any divergence — however small —
 /// shows up as a byte difference.
 pub fn scale_smoke(servers: usize, hours: u64, seed: u64, inner_jobs: usize) -> String {
-    let env = scale_environment(servers, seed);
-    let config = SimConfig::paper(Scenario::ConstrainedMobility, 1.0)
+    let sim = SimConfig::paper(Scenario::ConstrainedMobility, 1.0)
         .with_duration(SimDuration::from_hours(hours))
         .with_seed(seed)
         .with_inner_jobs(inner_jobs);
-    let metrics = Simulation::new(env, config).run();
+    let run = RunBuilder::new(Scenario::ConstrainedMobility)
+        .sim(sim.clone())
+        .environment(scale_environment(servers, seed))
+        .supervised();
+    let metrics = figure_run(run, &sim);
     let mut out = String::from("metric,value\n");
     writeln!(out, "servers,{servers}").unwrap();
     writeln!(out, "actions,{}", metrics.actions.len()).unwrap();
@@ -1326,6 +1385,18 @@ mod tests {
         let csv = scenario_suite_csv(&narrow);
         assert_eq!(csv, scenario_suite_csv(&wide), "the rendered CSV matches");
         assert_eq!(csv.lines().count(), 1 + narrow.len());
+    }
+
+    /// The figure runs record a series for every server, the landscape
+    /// average, and one per FI instance (three at the start).
+    #[test]
+    fn series_are_recorded_for_all_servers() {
+        let m = scenario_run(Scenario::Static, 1.0, 6, 42);
+        assert_eq!(m.server_series.len(), 19);
+        assert_eq!(m.average_series.len(), 6 * 60 / 5);
+        assert!(m.instance_series.len() >= 3);
+        let first = m.average_series[0].time;
+        assert_eq!(first, SimTime::from_minutes(5), "sampled from minute 5");
     }
 
     #[test]
@@ -1593,20 +1664,6 @@ mod name_resolution_tests {
             assert_eq!(fi_series_csv(metrics), fi_series_csv(&sequential));
             assert_eq!(action_log(metrics), action_log(&sequential));
         }
-    }
-
-    /// The ladder helper must reproduce `find_max_users`' own float
-    /// accumulation step for step.
-    #[test]
-    fn capacity_ladder_matches_the_sequential_accumulation() {
-        let ladder = capacity_ladder(0.05);
-        assert_eq!(ladder[0].to_bits(), 1.0f64.to_bits());
-        let mut m: f64 = 1.0;
-        for &step in &ladder {
-            assert_eq!(step.to_bits(), m.to_bits());
-            m += 0.05;
-        }
-        assert!(m > 3.0, "the ladder ends exactly at the safety stop");
     }
 
     /// Chaos acceptance: the sweep must be bit-identical whatever the

@@ -1742,8 +1742,16 @@ mod tests {
                         } else {
                             FailureKind::InstanceCrashed(*rng.choice(&instances))
                         };
+                        let current = matches!(&c.host_index, Some((r, _)) if *r == l.revision());
                         let event = FailureEvent { kind, time: now };
                         lost.extend(c.handle_failure(&event, &mut l, &loads, now).lost);
+                        // A server failure's availability write keeps a
+                        // current memo current.
+                        if current && matches!(kind, FailureKind::ServerFailed(_)) {
+                            let (revision, index) = c.host_index.as_ref().expect("memo");
+                            assert_eq!(*revision, l.revision(), "server failure staled the memo");
+                            index.assert_same_arrays(&HostIndex::build(&l));
+                        }
                     }
                     5 => {
                         if let Some((old, service)) = lost.pop() {

@@ -78,7 +78,9 @@ impl AutoGlobeController {
                 self.recover_instance(instance, landscape, loads, now, &mut outcome);
             }
             FailureKind::ServerFailed(server) => {
-                let _ = landscape.set_available(server, false);
+                // Availability is not part of the host index (`can_host`
+                // reads it from the landscape), so the memo stays current.
+                let _ = self.mutate(landscape, |l| l.set_available(server, false), |_, _| None);
                 for instance in landscape.instances_on(server) {
                     self.recover_instance(instance, landscape, loads, now, &mut outcome);
                 }

@@ -16,9 +16,10 @@
 //!    the watch time stayed beyond the threshold — short load peaks must not
 //!    destabilize the system.
 //!
-//! A [`LoadArchive`] stores an aggregated historic view, used to initialize
-//! the fuzzy controller's resource variables and (in `autoglobe-forecast`)
-//! for load prediction.
+//! A [`MeanWindow`] holds the watch-time mean the controller reads for a
+//! server's CPU load (Section 4.1). A [`LoadArchive`] stores an aggregated
+//! historic view, used to initialize the fuzzy controller's resource
+//! variables and (in `autoglobe-forecast`) for load prediction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +31,7 @@ pub mod subject;
 pub mod system;
 pub mod time;
 pub mod trigger;
+pub mod window;
 
 pub use archive::LoadArchive;
 pub use heartbeat::{HeartbeatConfig, HeartbeatEvent, HeartbeatMonitor};
@@ -38,3 +40,4 @@ pub use subject::Subject;
 pub use system::{Advisor, LoadMonitoringSystem, SubjectConfig, WatchState};
 pub use time::{SimDuration, SimTime};
 pub use trigger::{FailureEvent, FailureKind, TriggerEvent, TriggerKind};
+pub use window::{MeanWindow, WATCH_MEAN_SAMPLES};

@@ -1,13 +1,13 @@
 //! The capacity sweep behind Table 7: "We ran simulation series for the
 //! three scenarios and each time increased the number of users by 5% until
 //! the system became overloaded."
+//!
+//! The sweep takes its probe as a closure: this crate models the workload,
+//! and the run loop that drives the controller sits above it (the
+//! `autoglobe` crate's supervised run).
 
-use crate::config::SimConfig;
 use crate::metrics::Metrics;
-use crate::sap::build_environment;
 use crate::scenario::Scenario;
-use crate::sim::Simulation;
-use autoglobe_monitor::SimDuration;
 
 /// When a run counts as "overloaded" (the paper: batch jobs not processed in
 /// time, response times of interactive requests increase).
@@ -58,37 +58,35 @@ impl CapacityResult {
     }
 }
 
-/// Sweep a scenario: start at 100 % and raise users by `step` (the paper:
-/// 5 %) until the system becomes overloaded. Each probe simulates
-/// `duration` (the paper: 80 hours; shorter horizons are fine for tests —
-/// overload, when it happens, shows up within the first simulated day).
+/// The user multipliers a capacity sweep probes, in order: 100 %, then
+/// `+= step` up to the 300 % safety stop (nothing in this study should
+/// handle 300 %). The steps are one float accumulation, so every sweep
+/// that walks this ladder, in order or speculatively, probes bit-identical
+/// multipliers.
+pub fn capacity_ladder(step: f64) -> impl Iterator<Item = f64> {
+    std::iter::successors(Some(1.0), move |m| Some(m + step)).take_while(|&m| m <= 3.0)
+}
+
+/// Sweep a scenario up its [`capacity_ladder`]: start at 100 % and raise
+/// users by `step` (the paper: 5 %) until `probe` — one run at the given
+/// user multiplier — comes back overloaded. The paper's probes simulate
+/// 80 hours; shorter horizons are fine for tests, since overload, when it
+/// happens, shows up within the first simulated day.
 pub fn find_max_users(
     scenario: Scenario,
     criterion: CapacityCriterion,
     step: f64,
-    duration: SimDuration,
-    seed: u64,
+    mut probe: impl FnMut(f64) -> Metrics,
 ) -> CapacityResult {
     let mut steps = Vec::new();
     let mut max_multiplier = 0.0;
-    let mut multiplier = 1.0;
-    loop {
-        let env = build_environment(scenario);
-        let config = SimConfig::paper(scenario, multiplier)
-            .with_duration(duration)
-            .with_seed(seed);
-        let metrics = Simulation::new(env, config).run();
-        let overloaded = criterion.overloaded(&metrics);
+    for multiplier in capacity_ladder(step) {
+        let overloaded = criterion.overloaded(&probe(multiplier));
         steps.push((multiplier, overloaded));
         if overloaded {
             break;
         }
         max_multiplier = multiplier;
-        multiplier += step;
-        if multiplier > 3.0 {
-            // Safety stop: nothing in this study should handle 300 %.
-            break;
-        }
     }
     CapacityResult {
         scenario,
@@ -100,6 +98,7 @@ pub fn find_max_users(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autoglobe_monitor::SimDuration;
 
     #[test]
     fn criterion_thresholds() {
@@ -128,36 +127,34 @@ mod tests {
         assert!(c.overloaded(&m2));
     }
 
-    /// The headline result (a reduced-horizon version of Table 7): the
-    /// static scenario tolerates fewer users than constrained mobility,
-    /// which tolerates fewer than full mobility.
+    /// The sweep walks the ladder in order, stops at the first overloaded
+    /// probe and reports the step before it.
     #[test]
-    fn capacity_ordering_matches_table_7() {
+    fn sweep_stops_at_the_first_overloaded_probe() {
         let criterion = CapacityCriterion::default();
-        // Two simulated days: day 1 reflects steady state after the
-        // controller's day-0 adaptation.
-        let duration = SimDuration::from_hours(48);
-        let static_result = find_max_users(Scenario::Static, criterion, 0.05, duration, 42);
-        let cm = find_max_users(Scenario::ConstrainedMobility, criterion, 0.05, duration, 42);
-        let fm = find_max_users(Scenario::FullMobility, criterion, 0.05, duration, 42);
-
-        assert!(
-            static_result.max_multiplier <= cm.max_multiplier,
-            "static {} must not beat CM {}",
-            static_result.max_users_percent(),
-            cm.max_users_percent()
-        );
-        assert!(
-            cm.max_multiplier <= fm.max_multiplier,
-            "CM {} must not beat FM {}",
-            cm.max_users_percent(),
-            fm.max_users_percent()
-        );
-        assert!(
-            fm.max_multiplier > static_result.max_multiplier,
-            "FM must strictly beat static"
-        );
-        // Static handles its design point (100 %).
-        assert!(static_result.max_multiplier >= 1.0);
+        let overloaded_above = |limit: f64| {
+            move |multiplier: f64| Metrics {
+                duration: SimDuration::from_hours(24),
+                unserved_demand: if multiplier > limit { 5.0 } else { 0.0 },
+                total_demand: 100.0,
+                ..Metrics::default()
+            }
+        };
+        let ladder: Vec<f64> = capacity_ladder(0.05).collect();
+        let result = find_max_users(Scenario::Static, criterion, 0.05, overloaded_above(1.12));
+        assert_eq!(result.max_multiplier.to_bits(), ladder[2].to_bits());
+        assert_eq!(result.steps.len(), 4);
+        assert_eq!(result.steps.last(), Some(&(ladder[3], true)));
+        assert!(result.steps[..3].iter().all(|&(_, overloaded)| !overloaded));
+        let mut m: f64 = 1.0;
+        for &multiplier in &ladder {
+            assert_eq!(multiplier.to_bits(), m.to_bits());
+            m += 0.05;
+        }
+        assert!(m > 3.0, "the ladder ends exactly at the safety stop");
+        // A probe that never overloads walks the whole ladder.
+        let all = find_max_users(Scenario::Static, criterion, 0.05, overloaded_above(9.0));
+        assert_eq!(all.steps.len(), ladder.len());
+        assert_eq!(all.max_multiplier, *ladder.last().unwrap());
     }
 }

@@ -109,31 +109,23 @@ pub struct SimConfig {
     pub user_multiplier: f64,
     /// RNG seed — every figure is reproducible bit-for-bit.
     pub seed: u64,
-    /// Fuzzy-controller configuration (thresholds, protection time).
+    /// Fuzzy-controller configuration (thresholds, protection time). The
+    /// *static* scenario runs the controller too, but its services allow
+    /// no actions, matching the paper ("the controller cannot remedy the
+    /// overload situations").
     pub controller: ControllerConfig,
-    /// Whether the controller runs at all. Defaults to true; the *static*
-    /// scenario keeps it on but its services allow no actions, matching the
-    /// paper ("the controller cannot remedy the overload situations").
-    pub controller_enabled: bool,
     /// Time from starting an instance until it accepts users.
     pub startup_latency: SimDuration,
-    /// How often load-series points are recorded into [`crate::Metrics`]
-    /// (the paper's figures plot roughly 5-minute resolution over 80 h).
-    pub sample_every: SimDuration,
-    /// Services whose per-instance load series are recorded (Figures 15–17
-    /// plot the FI application servers).
-    pub record_instances_of: Vec<String>,
     /// Optional failure injection (None = no failures, the paper's load
-    /// studies). Honoured by the chaos harness; [`crate::Simulation`]
+    /// studies). Honoured by the chaos harness; the supervised run
     /// refuses it.
     pub failures: Option<FailureInjection>,
     /// Optional fallible asynchronous action execution (None = the
     /// reliable, instant substrate the paper's load studies assume).
-    /// Honoured by the control-plane harnesses; [`crate::Simulation`]
-    /// refuses it.
+    /// Honoured by the control-plane harnesses.
     pub execution: Option<ExecutorConfig>,
     /// Heartbeat failure detection for the chaos harness (which defaults
-    /// it when unset); [`crate::Simulation`] refuses it.
+    /// it when unset); the supervised run refuses it.
     pub heartbeats: Option<HeartbeatDetection>,
     /// Worker threads for the *intra-run* per-server evaluation phase
     /// (`0` = use the machine, `1` = fully sequential). Results are
@@ -153,10 +145,7 @@ impl SimConfig {
             user_multiplier,
             seed: 0x005A_B061_0BE0, // "SAP AutoGlobe"
             controller: ControllerConfig::default(),
-            controller_enabled: true,
             startup_latency: SimDuration::from_minutes(2),
-            sample_every: SimDuration::from_minutes(5),
-            record_instances_of: vec!["FI".to_string()],
             failures: None,
             execution: None,
             heartbeats: None,
@@ -245,7 +234,6 @@ mod tests {
         assert_eq!(c.duration, SimDuration::from_hours(80));
         assert_eq!(c.tick, SimDuration::from_minutes(1));
         assert_eq!(c.user_multiplier, 1.15);
-        assert!(c.controller_enabled);
         assert_eq!(c.controller.protection_time, SimDuration::from_minutes(30));
         assert_eq!(c.num_ticks(), 80 * 60);
     }

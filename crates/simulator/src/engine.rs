@@ -5,9 +5,9 @@
 //! request-flow demand model (application server → central instance →
 //! database) and the per-server rolling windows — but nothing about
 //! *control*. Each tick it turns the current landscape into a
-//! [`TickLoads`] snapshot; whoever drives the engine (the built-in
-//! [`crate::Simulation`] or an external control plane such as the
-//! `autoglobe` crate's Supervisor harness) decides what to do with it.
+//! [`TickLoads`] snapshot; whoever drives the engine (the `autoglobe`
+//! crate's supervised, chaos and sharded runs, or a benchmark playing the
+//! deployment agent) decides what to do with it.
 //!
 //! # Tick pipeline
 //!
@@ -38,13 +38,9 @@ use crate::sessions::{DistributionMode, SessionTable};
 use crate::workload::WorkloadSpec;
 use autoglobe_controller::LoadView;
 use autoglobe_landscape::{ApplyOutcome, InstanceId, Landscape, ServerId, ServiceId};
-use autoglobe_monitor::{SimDuration, SimTime, Subject};
+use autoglobe_monitor::{MeanWindow, SimDuration, SimTime, Subject};
 use autoglobe_rng::Rng;
-use std::collections::{BTreeSet, VecDeque};
-
-/// Length of the rolling window used for overload accounting and for the
-/// controller's smoothed server loads (the paper's 10-minute watch time).
-pub(crate) const ROLLING_WINDOW_TICKS: usize = 10;
+use std::collections::BTreeSet;
 
 /// Minimum number of server lanes per worker thread in the parallel
 /// per-server phase. A lane evaluation is tens of nanoseconds of arithmetic,
@@ -210,8 +206,8 @@ impl LoadView for TickLoads {
 /// its own lane, so chunks have disjoint write sets by construction.
 #[derive(Debug, Clone, Default)]
 struct ServerLane {
-    /// Rolling load window (overload accounting + controller smoothing).
-    window: VecDeque<f64>,
+    /// Watch-time window (overload accounting + controller smoothing).
+    window: MeanWindow,
     // Inputs, filled sequentially before the fan-out.
     demand: f64,
     capacity: f64,
@@ -233,11 +229,8 @@ impl ServerLane {
         } else {
             (self.mem_used as f64 / self.memory_mb as f64).min(1.0)
         };
-        self.window.push_back(self.load);
-        if self.window.len() > ROLLING_WINDOW_TICKS {
-            self.window.pop_front();
-        }
-        self.smoothed = self.window.iter().sum::<f64>() / self.window.len() as f64;
+        self.window.push(self.load);
+        self.smoothed = self.window.mean();
     }
 }
 
@@ -285,8 +278,7 @@ impl WorkloadEngine {
     /// allocation's instances (immediately active).
     ///
     /// # Panics
-    /// Panics when a workload references an unknown service, mirroring
-    /// [`crate::Simulation::new`].
+    /// Panics when a workload references an unknown service.
     pub fn new(landscape: &Landscape, workloads: Vec<WorkloadSpec>, config: &SimConfig) -> Self {
         let mut resolved = Vec::with_capacity(workloads.len());
         for spec in workloads {

@@ -25,12 +25,13 @@
 //!   movement actions, users dynamically redistributed) —
 //!   see [`scenario::Scenario`].
 //!
-//! The simulation is a deterministic tick-driven discrete-event loop
-//! (default tick: one simulated minute) that feeds the monitoring stack,
-//! dispatches confirmed triggers to the fuzzy controller, applies its
-//! actions with realistic activation latency, and records every per-server
-//! and per-instance load series the paper plots (Figures 12–17) plus the
-//! capacity-sweep data behind Table 7.
+//! The [`WorkloadEngine`] advances this model one deterministic tick
+//! (default: one simulated minute) at a time and hands back the resulting
+//! per-server, per-service and per-instance loads; the run loop that feeds
+//! them to the monitoring stack and the fuzzy controller, and mirrors the
+//! controller's actions back with realistic activation latency, is the
+//! `autoglobe` crate's supervised run. The paper's figures (12–17) and the
+//! capacity sweep behind Table 7 ([`find_max_users`]) run through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,10 +44,9 @@ pub mod sap;
 pub mod scenario;
 pub mod scenario_dsl;
 pub mod sessions;
-pub mod sim;
 pub mod workload;
 
-pub use capacity::{find_max_users, CapacityCriterion, CapacityResult};
+pub use capacity::{capacity_ladder, find_max_users, CapacityCriterion, CapacityResult};
 pub use config::{FailureInjection, HeartbeatDetection, SimConfig};
 pub use engine::{TickLoads, WorkloadEngine, MIN_SERVERS_PER_LANE};
 pub use metrics::{InstancePoint, Metrics, SeriesPoint};
@@ -55,5 +55,4 @@ pub use scenario::Scenario;
 pub use scenario_dsl::{
     Combinator, DrainEvent, KillEvent, LoadModulation, ScenarioSchedule, ScenarioSpec,
 };
-pub use sim::Simulation;
 pub use workload::{DailyPattern, WorkloadSpec};

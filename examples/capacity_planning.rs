@@ -21,13 +21,14 @@ fn main() {
 
     let mut baseline = None;
     for scenario in Scenario::ALL {
-        let result = find_max_users(
-            scenario,
-            criterion,
-            0.05,
-            SimDuration::from_hours(hours),
-            42,
-        );
+        let result = find_max_users(scenario, criterion, 0.05, |multiplier| {
+            RunBuilder::new(scenario)
+                .multiplier(multiplier)
+                .hours(hours)
+                .seed(42)
+                .supervised()
+                .run()
+        });
         let probes: Vec<String> = result
             .steps
             .iter()

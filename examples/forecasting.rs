@@ -16,13 +16,16 @@ fn main() {
     let env = build_environment(Scenario::Static);
     let blade3 = env.landscape.server_by_name("Blade3").unwrap(); // an FI blade
     let db3 = env.landscape.server_by_name("DBServer3").unwrap(); // the BW database
-    let config = SimConfig::paper(Scenario::Static, 1.0).with_duration(SimDuration::from_hours(72));
-    let mut sim = Simulation::new(env, config);
+    let mut run = RunBuilder::new(Scenario::Static)
+        .multiplier(1.0)
+        .hours(72)
+        .environment(env)
+        .supervised();
     for _ in 0..72 * 60 {
-        sim.step();
+        run.step();
     }
-    let now = sim.now();
-    let archive = sim.archive();
+    let now = run.now();
+    let archive = run.supervisor().archive();
 
     // Forecast the next morning for the FI blade.
     let forecaster = Forecaster::new();
@@ -57,7 +60,11 @@ fn main() {
     let hints = HintBook::new();
     println!("\nproactive check at {} (one-hour horizon):", now);
     for server_name in ["Blade3", "DBServer3"] {
-        let server = sim.landscape().server_by_name(server_name).unwrap();
+        let server = run
+            .supervisor()
+            .landscape()
+            .server_by_name(server_name)
+            .unwrap();
         match proactive.check(archive, &hints, Subject::Server(server), 1.0, now) {
             Some(firing) => println!(
                 "  {server_name}: {} (predicted for {}, {} lead)",

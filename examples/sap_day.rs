@@ -38,8 +38,17 @@ fn main() {
         .map(|id| env.landscape.service(id).unwrap().name.clone())
         .collect();
 
-    let config = SimConfig::paper(scenario, multiplier).with_duration(SimDuration::from_hours(24));
-    let metrics = Simulation::new(env, config).run();
+    let mut run = RunBuilder::new(scenario)
+        .multiplier(multiplier)
+        .hours(24)
+        .environment(env)
+        .supervised();
+    let mut load_sum = 0.0;
+    for _ in 0..24 * 60 {
+        run.step();
+        load_sum += run.last_loads().average_cpu;
+    }
+    let metrics = run.finish();
 
     println!("== controller actions ==");
     if metrics.actions.is_empty() {
@@ -61,7 +70,7 @@ fn main() {
     println!("\n== load summary ==");
     println!(
         "  mean load over all servers: {:.1} %",
-        metrics.mean_average_load() * 100.0
+        load_sum / (24.0 * 60.0) * 100.0
     );
     println!(
         "  worst sustained overload on one server: {}",

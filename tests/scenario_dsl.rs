@@ -35,6 +35,17 @@ fn digest(m: &Metrics) -> String {
     out
 }
 
+/// The final placement: every instance with its host and service,
+/// ascending by instance id.
+fn placement(landscape: &Landscape) -> Vec<(InstanceId, ServerId, ServiceId)> {
+    let mut triples: Vec<_> = landscape
+        .instances()
+        .map(|i| (i.id, i.server, i.service))
+        .collect();
+    triples.sort();
+    triples
+}
+
 /// The reference the identity composition must reproduce: the paper's
 /// unmodulated workload engine driving a supervisor by hand through the
 /// public record/tick API.
@@ -117,7 +128,7 @@ fn identity_composition_reproduces_each_paper_scenario_bit_for_bit() {
 /// Every catalog scenario runs as pure data on both planes: the supervised
 /// harness (chaos-capable when the spec schedules events) and the sharded
 /// control plane — seeded, repeatably, and with the shard count invisible
-/// to the metrics.
+/// to the metrics and to the final placement.
 #[test]
 fn catalog_scenarios_run_on_both_planes_deterministically() {
     let hours = 36;
@@ -126,33 +137,43 @@ fn catalog_scenarios_run_on_both_planes_deterministically() {
         let supervised = |(): ()| {
             let builder = RunBuilder::new(spec.clone()).hours(hours).seed(seed);
             if spec.has_events() {
-                builder.chaos_run().run()
+                let mut run = builder.chaos_run();
+                for _ in 0..hours * 60 {
+                    run.step();
+                }
+                let placement = placement(run.supervisor().landscape());
+                (digest(run.metrics()), placement)
             } else {
-                builder.supervised().run()
+                let mut run = builder.supervised();
+                for _ in 0..hours * 60 {
+                    run.step();
+                }
+                let placement = placement(run.supervisor().landscape());
+                (digest(run.metrics()), placement)
             }
         };
         let first = supervised(());
         let again = supervised(());
         assert_eq!(
-            digest(&first),
-            digest(&again),
+            first, again,
             "{}: same seed must reproduce the run",
             spec.name
         );
         let sharded = |shards: usize| {
-            RunBuilder::new(spec.clone())
+            let mut run = RunBuilder::new(spec.clone())
                 .hours(hours)
                 .seed(seed)
                 .shards(shards)
-                .sharded()
-                .run()
-                .0
+                .sharded();
+            for _ in 0..hours * 60 {
+                run.step();
+            }
+            (digest(run.metrics()), placement(run.plane().landscape()))
         };
         let one = sharded(1);
         let four = sharded(4);
         assert_eq!(
-            digest(&one),
-            digest(&four),
+            one, four,
             "{}: the shard count must be invisible to the scenario",
             spec.name
         );
